@@ -42,7 +42,9 @@ TorusNetwork::TorusNetwork(topo::Torus3D torus, TorusParams params)
   std::size_t entries = 64;
   while (entries < capped) entries <<= 1;
   routeCacheSetMask_ = entries / 2 - 1;
-  for (auto& table : routeCache_) table.assign(entries, RouteEntry{});
+  // The tables themselves are built on first use (cachedRoute): worlds
+  // that only run collectives route nothing, and the ZYX table is read
+  // only under adaptive routing.
 }
 
 const std::vector<topo::LinkId>& TorusNetwork::cachedRoute(topo::NodeId src,
@@ -51,8 +53,9 @@ const std::vector<topo::LinkId>& TorusNetwork::cachedRoute(topo::NodeId src,
   // The two ways of a set sit adjacent, MRU first.  A hit in the second
   // way swaps it forward; a miss swaps too (demoting the old MRU) and
   // rebuilds into the evicted way, reusing its vector capacity as scratch.
-  RouteEntry* set =
-      &routeCache_[order][2 * (routeHash(src, dst) & routeCacheSetMask_)];
+  std::vector<RouteEntry>& table = routeCache_[order];
+  if (table.empty()) table.resize(2 * (routeCacheSetMask_ + 1));
+  RouteEntry* set = &table[2 * (routeHash(src, dst) & routeCacheSetMask_)];
   if (set[0].src == src && set[0].dst == dst) {
     ++routeHits_;
     return set[0].links;

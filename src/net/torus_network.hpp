@@ -142,6 +142,7 @@ class TorusNetwork {
   double bytesRouted_ = 0.0;
   /// Per-order tables laid out as adjacent 2-way sets: set s owns entries
   /// 2s (MRU way) and 2s+1 (LRU way); ways swap on a second-way hit.
+  /// Each table stays empty until its order routes a first message.
   std::vector<RouteEntry> routeCache_[2];
   std::size_t routeCacheSetMask_ = 0;
   std::uint64_t routeHits_ = 0;

@@ -106,15 +106,17 @@ void Profiler::onP2pIssue(const smpi::Comm&, const smpi::Request& op,
       Item{Item::Kind::Issue, now, now, op.get(), 0, 0, false});
   ++itemCount_;
   // Completion stamp: registered at issue, so it takes the OpState's
-  // inline continuation slot (a profile-on-only cost; the awaiter's
-  // continuation spills to the vector).
-  smpi::OpState* p = op.get();
-  p->onComplete([this, p] {
-    const auto it = ops_.find(p);
-    if (it != ops_.end() && it->second.completion < 0)
-      it->second.completion = sim_->engine().now();
-  });
+  // inline waiter slot and fires first (a profile-on-only cost; the
+  // awaiter's waiter spills to the vector).
+  op->onComplete(smpi::Waiter{&Profiler::stampCompletion, this});
   checkBudget();
+}
+
+void Profiler::stampCompletion(void* self, smpi::OpState& op) {
+  auto& prof = *static_cast<Profiler*>(self);
+  const auto it = prof.ops_.find(&op);
+  if (it != prof.ops_.end() && it->second.completion < 0)
+    it->second.completion = prof.sim_->engine().now();
 }
 
 void Profiler::onCollArrival(const smpi::Comm& comm, const smpi::Request& op,
@@ -235,7 +237,7 @@ void Profiler::blockEnd(int rank, const std::vector<smpi::Request>& ops,
 void Profiler::onBlockEnd(int rank, const std::vector<smpi::Request>& ops,
                           sim::SimTime now) {
   // The releasing op is the one that completed last (ties: the later
-  // list position — the engine resumed us off its continuation last).
+  // list position — the engine resumed us off its waiter last).
   const smpi::OpState* release = nullptr;
   sim::SimTime best = -1.0;
   for (const auto& op : ops) {

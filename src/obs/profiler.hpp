@@ -168,6 +168,10 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   /// Stable lowercase collective-kind name ("allreduce", ...).
   static const char* collName(net::CollKind kind);
 
+  /// Completion waiter registered at p2p issue: stamps the op's
+  /// completion time.
+  static void stampCompletion(void* self, smpi::OpState& op);
+
   /// Closes the open block (if any) on `rank`, computes overlap for the
   /// waited ops, picks the releasing op, and appends the Block item.
   void blockEnd(int rank, const std::vector<smpi::Request>& ops,

@@ -29,11 +29,13 @@
 // insert, so an event can never land in an already-drained region (such
 // inserts are routed into the sorted bottom instead).
 //
-// Event payloads (coroutine handle or SmallFn callback) live in a chunked
-// slot pool with stable addresses, recycled through a free list; the
-// queue itself moves only 16-byte packed keys (time bits | seq | slot).
-// Steady-state scheduling is allocation-free and SmallFn keeps common
-// captures inline.
+// Event payloads live in a chunked pool of 64-byte slots (one cache line:
+// a SmallFn plus the free-list link) with stable addresses, recycled
+// through a free list; a coroutine resume is just a callback capturing the
+// handle.  The queue itself moves only 16-byte packed keys (time bits |
+// seq | slot).  A bucket frees its key storage once its keys move on, so
+// the ladder holds memory in proportion to the pending events, not to
+// every bucket ever filled.
 
 #include <algorithm>
 #include <bit>
@@ -65,10 +67,7 @@ class Engine {
 
   /// Schedules a coroutine to resume at absolute time `t` (>= now).
   void schedule(SimTime t, std::coroutine_handle<> h) {
-    BGP_REQUIRE_MSG(t >= now_, "cannot schedule into the past");
-    const std::uint32_t slot = acquireSlot();
-    slotAt(slot).handle = h;
-    pushEvent(t, slot);
+    scheduleCallback(t, [h] { h.resume(); });
   }
 
   /// Schedules a callback at absolute time `t` (>= now).  Accepts any
@@ -131,21 +130,14 @@ class Engine {
     }
     --pending_;
     if (pending_ == 0) resetEpoch();
+    // Invoke in place: the chunked slot pool is address-stable, so events
+    // the callback schedules (which may grow the pool) cannot move it, and
+    // the slot is only released afterwards so it cannot be reused under a
+    // running callback.
     Slot& s = slotAt(slot);
-    if (s.handle) {
-      const std::coroutine_handle<> handle = s.handle;
-      s.handle = nullptr;
-      releaseSlot(slot);
-      handle.resume();
-    } else {
-      // Invoke in place: the chunked slot pool is address-stable, so events
-      // the callback schedules (which may grow the pool) cannot move it,
-      // and the slot is only released afterwards so it cannot be reused
-      // under a running callback.
-      s.fn();
-      s.fn.reset();
-      releaseSlot(slot);
-    }
+    s.fn();
+    s.fn.reset();
+    releaseSlot(slot);
     ++eventsProcessed_;
     return true;
   }
@@ -156,6 +148,20 @@ class Engine {
   /// High-water mark of the pending-event count (queue pressure metric
   /// surfaced by the observability plane).
   std::size_t peakPending() const { return peakPending_; }
+
+  /// Key capacity the ladder currently holds (bottom band, rung buckets,
+  /// top).  Drained buckets release theirs, so once the queue empties this
+  /// is about one bucket's worth, whatever the peak was.
+  std::size_t retainedKeyCapacity() const {
+    std::size_t n = bottom_.capacity() + top_.capacity();
+    for (const Rung& r : rungs_)
+      for (const auto& b : r.buckets) n += b.capacity();
+    return n;
+  }
+  /// Deepest the ladder has been (rungs alive at once).
+  std::size_t ladderDepth() const { return rungs_.size(); }
+  /// Bytes per pending-event slot (footprint gates).
+  static constexpr std::size_t slotBytes() { return sizeof(Slot); }
 
  private:
   /// Packed event key: [63..0 of time's bit pattern | 40-bit seq | 24-bit
@@ -173,12 +179,12 @@ class Engine {
   static constexpr std::uint32_t kNumBuckets = 128;
   static constexpr std::size_t kMaxRungs = 40;  // degenerate-span guard
 
-  struct Slot {
-    std::coroutine_handle<> handle = nullptr;  // null => use fn
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  struct alignas(64) Slot {
     SmallFn fn;
     std::uint32_t nextFree = kNoSlot;
   };
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  static_assert(sizeof(Slot) == 64, "an event slot is one cache line");
   /// Slots live in fixed-size chunks so their addresses survive pool
   /// growth — step() relies on that to run callbacks in place.
   static constexpr std::uint32_t kSlotChunkShift = 8;
@@ -276,12 +282,17 @@ class Engine {
     bottom_.insert(pos, key);
   }
 
-  /// Moves `v` (sorted descending) into the bottom band, recycling the
-  /// vector's capacity back through `v`.
+  /// Frees `v`'s storage.  Drained buckets must not keep capacity: at
+  /// 131,072 ranks, storage parked in empty buckets outweighed the live
+  /// keys ten to one.
+  static void release(std::vector<Key>& v) { std::vector<Key>().swap(v); }
+
+  /// Moves `v` (sorted descending) into the bottom band; the band's old
+  /// storage is freed.
   void adoptBottom(std::vector<Key>& v) {
     std::sort(v.begin(), v.end(), std::greater<Key>());
     bottom_.swap(v);
-    v.clear();
+    release(v);
   }
 
   /// Refills the bottom band from the rungs (deepest first) or the top.
@@ -293,7 +304,7 @@ class Engine {
         while (r.cursor < kNumBuckets && r.buckets[r.cursor].empty())
           ++r.cursor;
         if (r.cursor == kNumBuckets) {
-          --rungDepth_;  // rung exhausted; keep its storage for reuse
+          --rungDepth_;  // rung exhausted; keep its header for reuse
           continue;
         }
         std::vector<Key>& b = r.buckets[r.cursor];
@@ -322,7 +333,7 @@ class Engine {
     rung.inv = kNumBuckets / (end - start);
     for (const Key k : b)
       rung.buckets[bucketIdx(rung, keyTime(k))].push_back(k);
-    b.clear();
+    release(b);
   }
 
   Rung& growRungs() {
@@ -330,7 +341,8 @@ class Engine {
       rungs_.emplace_back();
       rungs_.back().buckets.resize(kNumBuckets);
     }
-    // Reused rungs keep their buckets' capacity; just reset the cursor.
+    // A reused rung's buckets were all drained (and released); just reset
+    // the cursor.
     Rung& rung = rungs_[rungDepth_++];
     rung.cursor = 0;
     return rung;
@@ -350,7 +362,7 @@ class Engine {
       rung.inv = kNumBuckets / span;
       for (const Key k : top_)
         rung.buckets[bucketIdx(rung, keyTime(k))].push_back(k);
-      top_.clear();
+      release(top_);
       topStart_ = std::nextafter(topMax_, kInf);
     }
     topMin_ = kInf;
@@ -369,7 +381,7 @@ class Engine {
   /// Called when the queue fully drains: new events start a fresh epoch
   /// routed through the top.
   void resetEpoch() {
-    rungDepth_ = 0;  // all buckets are empty by now; keep their storage
+    rungDepth_ = 0;  // all buckets are drained and released by now
     topStart_ = -kInf;
     topMin_ = kInf;
     topMax_ = -kInf;

@@ -2,14 +2,14 @@
 // SmallFn: a move-only `void()` callable with inline small-buffer storage.
 //
 // The event engine schedules millions of short-lived callbacks whose
-// captures are a few pointers and scalars (an OpState shared_ptr, a couple
-// of ints, a double).  `std::function` heap-allocates for most of these and
-// its type-erased copy/move machinery dominates heap sift costs.  SmallFn
+// captures are a few pointers and scalars (a Request, a couple of ints, a
+// double).  `std::function` heap-allocates for most of these and its
+// type-erased copy/move machinery dominates heap sift costs.  SmallFn
 // stores captures up to kInlineBytes in place — no allocation on the
 // scheduling fast path — and falls back to a heap box only for oversized
-// captures.  Trivially-copyable captures relocate with a plain memcpy,
-// which is what lets the engine's implicit heap move events around as raw
-// bytes.
+// or over-aligned captures.  Trivially-copyable captures relocate with a
+// plain memcpy.  At 56 bytes, a SmallFn plus the engine's free-list link
+// fill exactly one 64-byte event slot.
 
 #include <cstddef>
 #include <cstring>
@@ -22,8 +22,11 @@ namespace bgp::sim {
 class SmallFn {
  public:
   /// Sized to hold the largest capture the runtime schedules today
-  /// (`[this, &comm, 3 ints, double, shared_ptr]` = 56 bytes) inline.
-  static constexpr std::size_t kInlineBytes = 64;
+  /// (`[this, &comm, 3 ints, double, Request]` = 48 bytes) inline.
+  static constexpr std::size_t kInlineBytes = 48;
+  /// Captures are pointers and scalars; 8-byte alignment keeps the
+  /// object at 56 bytes (max_align_t would pad it to 64).
+  static constexpr std::size_t kInlineAlign = alignof(void*);
 
   SmallFn() noexcept = default;
 
@@ -44,8 +47,7 @@ class SmallFn {
   void emplace(F&& f) {
     reset();
     using D = std::decay_t<F>;
-    if constexpr (sizeof(D) <= kInlineBytes &&
-                  alignof(D) <= alignof(std::max_align_t) &&
+    if constexpr (sizeof(D) <= kInlineBytes && alignof(D) <= kInlineAlign &&
                   std::is_nothrow_move_constructible_v<D>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
       ops_ = &kInlineOps<D>;
@@ -128,8 +130,10 @@ class SmallFn {
     }
   }
 
-  alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+  alignas(kInlineAlign) unsigned char buf_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
+
+static_assert(sizeof(SmallFn) == 56, "SmallFn must leave room in a 64 B slot");
 
 }  // namespace bgp::sim

@@ -31,30 +31,30 @@ void AwaitOps::await_suspend(std::coroutine_handle<> h) {
   }
   rank_->sim_->blockedOnOf(rank_->id_) = ops_.front()->what;
   rank_->sim_->pendingOpsOf(rank_->id_) = &ops_;
-  const double blockStart = sim_->engine().now();
-  const bool collective =
-      std::string_view(ops_.front()->what) == "collective";
+  h_ = h;
+  blockStart_ = sim_->engine().now();
+  collective_ = std::string_view(ops_.front()->what) == "collective";
   if (auto* prof = sim_->profiler())
-    prof->onBlockBegin(rank_->id_, blockStart, collective);
-  for (const auto& op : ops_) {
-    if (op->complete) continue;
-    op->onComplete([this, h, blockStart, collective] {
-      BGP_CHECK(remaining_ > 0);
-      if (--remaining_ == 0) {
-        Simulation& sim = *sim_;
-        const int id = rank_->id_;
-        sim.blockedOnOf(id) = nullptr;
-        sim.pendingOpsOf(id) = nullptr;
-        const double waited = sim.engine().now() - blockStart;
-        if (collective) {
-          sim.statsOf(id).collWaitSeconds += waited;
-        } else {
-          sim.statsOf(id).p2pWaitSeconds += waited;
-        }
-        sim.engine().schedule(sim.engine().now(), h);
-      }
-    });
+    prof->onBlockBegin(rank_->id_, blockStart_, collective_);
+  for (const auto& op : ops_)
+    if (!op->complete) op->onComplete(Waiter{&AwaitOps::onOpComplete, this});
+}
+
+void AwaitOps::onOpComplete(void* self, OpState&) {
+  auto& a = *static_cast<AwaitOps*>(self);
+  BGP_CHECK(a.remaining_ > 0);
+  if (--a.remaining_ != 0) return;
+  Simulation& sim = *a.sim_;
+  const int id = a.rank_->id_;
+  sim.blockedOnOf(id) = nullptr;
+  sim.pendingOpsOf(id) = nullptr;
+  const double waited = sim.engine().now() - a.blockStart_;
+  if (a.collective_) {
+    sim.statsOf(id).collWaitSeconds += waited;
+  } else {
+    sim.statsOf(id).p2pWaitSeconds += waited;
   }
+  sim.engine().schedule(sim.engine().now(), a.h_);
 }
 
 RecvInfo AwaitOps::await_resume() const {
@@ -69,19 +69,16 @@ RecvInfo AwaitOps::await_resume() const {
 // ---- AwaitAny ---------------------------------------------------------------
 
 AwaitAny::AwaitAny(Simulation& sim, Rank& rank, std::vector<Request> ops)
-    : sim_(&sim),
-      rank_(&rank),
-      ops_(std::move(ops)),
-      shared_(std::make_shared<Shared>()) {
+    : sim_(&sim), rank_(&rank), ops_(std::move(ops)) {
   BGP_REQUIRE_MSG(!ops_.empty(), "waitAny on zero operations");
   for (const auto& op : ops_) BGP_CHECK(op != nullptr);
 }
 
-bool AwaitAny::await_ready() const {
+bool AwaitAny::await_ready() {
   for (std::size_t i = 0; i < ops_.size(); ++i) {
     if (ops_[i]->complete) {
-      shared_->fired = true;
-      shared_->index = i;
+      fired_ = true;
+      index_ = i;
       return true;
     }
   }
@@ -91,38 +88,48 @@ bool AwaitAny::await_ready() const {
 void AwaitAny::await_suspend(std::coroutine_handle<> h) {
   sim_->blockedOnOf(rank_->id_) = "waitany";
   sim_->pendingOpsOf(rank_->id_) = &ops_;
-  const double blockStart = sim_->engine().now();
+  h_ = h;
+  blockStart_ = sim_->engine().now();
   if (auto* prof = sim_->profiler())
-    prof->onBlockBegin(rank_->id_, blockStart, /*collective=*/false);
-  const int id = rank_->id_;
-  Simulation* sim = sim_;
-  for (std::size_t i = 0; i < ops_.size(); ++i) {
-    // Continuations capture the shared state by value: they may run after
-    // the awaiter (and even the coroutine) is gone, and must be inert
-    // after the first completion fires.
-    ops_[i]->onComplete([shared = shared_, i, h, id, sim, blockStart] {
-      if (shared->fired) return;
-      shared->fired = true;
-      shared->index = i;
-      sim->blockedOnOf(id) = nullptr;
-      sim->pendingOpsOf(id) = nullptr;
-      sim->statsOf(id).p2pWaitSeconds += sim->engine().now() - blockStart;
-      sim->engine().schedule(sim->engine().now(), h);
-    });
-  }
+    prof->onBlockBegin(rank_->id_, blockStart_, /*collective=*/false);
+  for (const auto& op : ops_)
+    op->onComplete(Waiter{&AwaitAny::onOpComplete, this});
 }
 
-std::size_t AwaitAny::await_resume() const {
-  BGP_CHECK(shared_->fired);
+void AwaitAny::onOpComplete(void* self, OpState& op) {
+  auto& a = *static_cast<AwaitAny*>(self);
+  // Later completions before the resume runs are inert; await_resume
+  // unregisters from whatever is still pending.
+  if (a.fired_) return;
+  a.fired_ = true;
+  // The lowest index holding this op: duplicate entries fire in
+  // registration order, so the first one would have won.
+  while (a.ops_[a.index_].get() != &op) ++a.index_;
+  Simulation& sim = *a.sim_;
+  const int id = a.rank_->id_;
+  sim.blockedOnOf(id) = nullptr;
+  sim.pendingOpsOf(id) = nullptr;
+  sim.statsOf(id).p2pWaitSeconds += sim.engine().now() - a.blockStart_;
+  sim.engine().schedule(sim.engine().now(), a.h_);
+}
+
+std::size_t AwaitAny::await_resume() {
+  BGP_CHECK(fired_);
+  if (h_) {
+    // The awaiter dies with this co_await expression: drop its waiter from
+    // every request that has not completed yet.
+    for (const auto& op : ops_)
+      if (!op->complete)
+        op->removeWaiter(Waiter{&AwaitAny::onOpComplete, this});
+  }
   // Only the fired request counts as waited (MPI_Waitany semantics); the
   // others stay live and must be waited on again.
-  ops_[shared_->index]->waited = true;
+  ops_[index_]->waited = true;
   if (auto* cap = sim_->capture())
-    cap->onWaitOne(rank_->id_, ops_[shared_->index], sim_->engine().now());
+    cap->onWaitOne(rank_->id_, ops_[index_], sim_->engine().now());
   if (auto* prof = sim_->profiler())
-    prof->onBlockEndAny(rank_->id_, ops_, shared_->index,
-                        sim_->engine().now());
-  return shared_->index;
+    prof->onBlockEndAny(rank_->id_, ops_, index_, sim_->engine().now());
+  return index_;
 }
 
 // ---- AwaitCompute -----------------------------------------------------------

@@ -9,7 +9,7 @@
 // wildcards, eager vs. rendezvous protocol by message size, and collective
 // operations that gate on the last arrival.
 
-#include <memory>
+#include <coroutine>
 #include <vector>
 
 #include "arch/node_model.hpp"
@@ -39,7 +39,8 @@ struct RankStats {
 
 /// Awaits completion of one or more operations; resumes when all are done.
 /// `await_resume` returns the RecvInfo of the first operation (meaningful
-/// for receives).
+/// for receives).  While suspended, the awaiter (which lives in the
+/// coroutine frame) is itself the waiter registered on each pending op.
 class AwaitOps {
  public:
   AwaitOps(Simulation& sim, Rank& rank, std::vector<Request> ops);
@@ -49,32 +50,40 @@ class AwaitOps {
   RecvInfo await_resume() const;
 
  private:
+  static void onOpComplete(void* self, OpState& op);
+
   Simulation* sim_;
   Rank* rank_;
   std::vector<Request> ops_;
   std::size_t remaining_ = 0;
+  std::coroutine_handle<> h_;
+  double blockStart_ = 0.0;
+  bool collective_ = false;
 };
 
 /// Awaits the FIRST completion among several operations (MPI_Waitany);
 /// `await_resume` returns the index of the completed operation.  The
-/// other requests stay live and can be awaited again later.
+/// other requests stay live and can be awaited again later: the awaiter
+/// is registered on every request while suspended and unregisters from
+/// the losers when it resumes.
 class AwaitAny {
  public:
   AwaitAny(Simulation& sim, Rank& rank, std::vector<Request> ops);
 
-  bool await_ready() const;
+  bool await_ready();
   void await_suspend(std::coroutine_handle<> h);
-  std::size_t await_resume() const;
+  std::size_t await_resume();
 
  private:
-  struct Shared {
-    bool fired = false;
-    std::size_t index = 0;
-  };
+  static void onOpComplete(void* self, OpState& op);
+
   Simulation* sim_;
   Rank* rank_;
   std::vector<Request> ops_;
-  std::shared_ptr<Shared> shared_;
+  std::coroutine_handle<> h_;  // set iff suspended, i.e. registered
+  double blockStart_ = 0.0;
+  std::size_t index_ = 0;
+  bool fired_ = false;
 };
 
 /// Awaits a pure time delay (compute block).

@@ -365,8 +365,8 @@ Request Simulation::startSend(int worldSrc, Comm& comm, int dstCommRank,
     const auto tr = system_->torusNetwork().transfer(srcNode, dstNode, bytes,
                                                      engine_.now());
     engine_.scheduleCallback(tr.injected, [op] { op->finish(); });
-    // Capture-off keeps the captured Request null: copying a null
-    // shared_ptr is refcount-free, so the hot eager path stays identical.
+    // Capture-off keeps the captured Request null: the arrival callback
+    // then holds no reference, so the op is freed at injection.
     Request capOp = capture_ ? op : nullptr;
     engine_.scheduleCallback(
         tr.arrival,
@@ -498,7 +498,7 @@ Request Simulation::joinCollective(Comm& comm, int commRank,
     gate.rop = rop;
     gate.firstRank = commRank;
     // One OpState for the whole gate: every member awaits the same op,
-    // and the continuation registration order *is* the arrival order, so
+    // and the waiter registration order *is* the arrival order, so
     // a single finish() resumes the members in exactly the sequence the
     // seed's per-rank fan-out produced — at the same simulated time.
     gate.op = makeOpState();

@@ -1,15 +1,16 @@
 #pragma once
 // Shared vocabulary types for the simulated MPI runtime.
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "support/arena.hpp"
+#include "support/expect.hpp"
 
 namespace bgp::smpi {
 
@@ -48,10 +49,41 @@ class OutOfMemoryError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+struct OpState;
+
+/// A completion waiter: two words, no captures.  `fire(ctx, op)` runs when
+/// `op` completes; `ctx` is the registrant itself (an awaiter living in
+/// the suspended coroutine frame, or the profiler), so a waiter owns no
+/// storage and needs no destructor.
+struct Waiter {
+  void (*fire)(void* ctx, OpState& op) = nullptr;
+  void* ctx = nullptr;
+  friend bool operator==(const Waiter&, const Waiter&) = default;
+};
+
 /// State of one in-flight operation (send, recv, or collective slot).
-/// Completion runs registered continuations, which resume awaiting
-/// coroutines via the engine at the current simulated time.
+/// Completion fires the registered waiters in registration order; they
+/// resume awaiting coroutines via the engine at the current simulated
+/// time.  Lives in the creating thread's arena and is reference-counted
+/// by Request handles (non-atomically: a Simulation and its ops are
+/// confined to one thread at a time).
 struct OpState {
+  OpState() = default;
+  OpState(const OpState&) = delete;
+  OpState& operator=(const OpState&) = delete;
+
+  static void* operator new(std::size_t n) {
+    return support::arenaAllocate(n);
+  }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    support::arenaDeallocate(p, n);
+  }
+
+ private:
+  friend class Request;
+  std::uint32_t refs_ = 0;
+
+ public:
   bool complete = false;
   bool waited = false;  // a wait/waitAll/waitAny consumed this request
   RecvInfo info;
@@ -66,52 +98,98 @@ struct OpState {
   double bytes = 0.0;           // message / collective payload size
   double expectedBytes = -1.0;  // receive: declared expectation (<0 = none)
 
-  // Continuations are SmallFn, not std::function: awaiter captures (~25-56
-  // bytes) overflow libstdc++'s inline buffer, and completions are hot
-  // enough that the per-await heap allocation showed up in sweep profiles.
-  // The first continuation lives inline — a p2p op has exactly one awaiter
-  // in every benchmark, so the common op never touches the heap for its
-  // continuation either; only a shared collective op (one OpState awaited
-  // by every member rank) spills into the vector.
-  template <typename F>
-  void onComplete(F&& fn) {
+  /// Registers `w` to fire on completion (immediately if already
+  /// complete).  The first waiter lives inline — a p2p op has exactly one
+  /// awaiter in every benchmark — and only a shared collective op (one
+  /// OpState awaited by every member rank) spills into the vector.
+  void onComplete(Waiter w) {
     if (complete) {
-      fn();
-    } else if (!first_) {
-      first_.emplace(std::forward<F>(fn));
+      w.fire(w.ctx, *this);
+    } else if (!first_.fire) {
+      first_ = w;
     } else {
-      spill_.emplace_back(std::forward<F>(fn));
+      spill_.push_back(w);
     }
+  }
+
+  /// Unregisters one earlier registration of `w` (which must still be
+  /// pending), keeping the others in registration order.
+  void removeWaiter(Waiter w) {
+    if (first_ == w) {
+      if (spill_.empty()) {
+        first_ = Waiter{};
+      } else {
+        first_ = spill_.front();
+        spill_.erase(spill_.begin());
+      }
+      return;
+    }
+    const auto it = std::find(spill_.begin(), spill_.end(), w);
+    BGP_CHECK_MSG(it != spill_.end(), "removing an unregistered waiter");
+    spill_.erase(it);
+  }
+
+  /// Waiters registered and not yet fired (diagnostics / tests).
+  std::size_t pendingWaiters() const {
+    return (first_.fire ? 1 : 0) + spill_.size();
   }
 
   void finish() {
     BGP_CHECK_MSG(!complete, "operation completed twice");
     complete = true;
-    if (first_) {
-      sim::SmallFn fn = std::move(first_);
-      fn();
+    if (first_.fire) {
+      const Waiter w = std::exchange(first_, Waiter{});
+      w.fire(w.ctx, *this);
     }
     if (!spill_.empty()) {
       // Registration order: first_, then spill_ front-to-back.
-      std::vector<sim::SmallFn> fns = std::move(spill_);
-      for (auto& fn : fns) fn();
+      const std::vector<Waiter> ws = std::move(spill_);
+      for (const Waiter& w : ws) w.fire(w.ctx, *this);
     }
   }
 
  private:
-  sim::SmallFn first_;
-  std::vector<sim::SmallFn> spill_;
+  Waiter first_;
+  std::vector<Waiter> spill_;
 };
 
-/// Handle to a nonblocking operation (MPI_Request equivalent).
-using Request = std::shared_ptr<OpState>;
+/// Handle to a nonblocking operation (MPI_Request equivalent): an
+/// intrusive, non-atomic reference to an arena-allocated OpState.
+class Request {
+ public:
+  Request() noexcept = default;
+  Request(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
+  /// Takes a reference to `op` (null allowed).
+  explicit Request(OpState* op) noexcept : p_(op) {
+    if (p_) ++p_->refs_;
+  }
+  Request(const Request& o) noexcept : Request(o.p_) {}
+  Request(Request&& o) noexcept : p_(std::exchange(o.p_, nullptr)) {}
+  Request& operator=(Request o) noexcept {
+    std::swap(p_, o.p_);
+    return *this;
+  }
+  ~Request() {
+    if (p_ && --p_->refs_ == 0) delete p_;
+  }
 
-/// Creates an OpState on the calling thread's arena: the shared_ptr
-/// control block and the object share one granule, and the per-op
-/// alloc/free pair stays off the global allocator.
-inline Request makeOpState() {
-  return std::allocate_shared<OpState>(support::ArenaAllocator<OpState>{});
-}
+  OpState* get() const noexcept { return p_; }
+  OpState* operator->() const noexcept { return p_; }
+  explicit operator bool() const noexcept { return p_ != nullptr; }
+
+  friend bool operator==(const Request& a, const Request& b) noexcept {
+    return a.p_ == b.p_;
+  }
+  friend bool operator==(const Request& a, std::nullptr_t) noexcept {
+    return a.p_ == nullptr;
+  }
+
+ private:
+  OpState* p_ = nullptr;
+};
+
+/// Creates an OpState on the calling thread's arena (2 granules).
+inline Request makeOpState() { return Request(new OpState); }
 
 /// Aggregate of every rank program that exited with an exception.  Thrown
 /// by Simulation::run when two or more ranks failed, so a multi-rank bug

@@ -141,25 +141,4 @@ inline void arenaDeallocate(void* p,
 #endif
 }
 
-/// Minimal std allocator over the thread arena, for allocate_shared (the
-/// OpState control block + object land in one arena granule).
-template <typename T>
-struct ArenaAllocator {
-  using value_type = T;
-  ArenaAllocator() noexcept = default;
-  template <typename U>
-  ArenaAllocator(const ArenaAllocator<U>&) noexcept {}  // NOLINT
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(arenaAllocate(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    arenaDeallocate(p, n * sizeof(T));
-  }
-  template <typename U>
-  bool operator==(const ArenaAllocator<U>&) const noexcept {
-    return true;
-  }
-};
-
 }  // namespace bgp::support

@@ -67,7 +67,12 @@ ThreadPool::ThreadPool(unsigned threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true);
+  {
+    // Under wakeMutex_: a worker between testing the wait predicate and
+    // blocking would otherwise miss the notify and hang join().
+    std::lock_guard<std::mutex> lk(wakeMutex_);
+    stop_.store(true);
+  }
   wake_.notify_all();
   for (auto& t : threads_) t.join();
 }

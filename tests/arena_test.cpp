@@ -1,6 +1,5 @@
 // Tests for the thread-local bump/free-list arena (support/arena.hpp):
-// size-class rounding, LIFO reuse, large-block passthrough, and the
-// std-allocator adapter used by makeOpState().
+// size-class rounding, LIFO reuse, and large-block passthrough.
 
 #include "support/arena.hpp"
 
@@ -8,12 +7,10 @@
 
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <set>
 #include <vector>
 
 using bgp::support::Arena;
-using bgp::support::ArenaAllocator;
 
 TEST(Arena, ReusesFreedBlockLifo) {
   Arena a;
@@ -95,25 +92,4 @@ TEST(Arena, MixedSizeClassesDoNotCrossContaminate) {
   a.deallocate(small, 64);
   a.deallocate(mid, 640);
   EXPECT_EQ(a.liveBlocks(), 0u);
-}
-
-TEST(ArenaAllocatorAdapter, WorksWithAllocateShared) {
-  struct Payload {
-    double x = 1.5;
-    int y = 7;
-  };
-  auto p = std::allocate_shared<Payload>(ArenaAllocator<Payload>{});
-  EXPECT_EQ(p->x, 1.5);
-  EXPECT_EQ(p->y, 7);
-  std::weak_ptr<Payload> w = p;
-  p.reset();
-  EXPECT_TRUE(w.expired());
-}
-
-TEST(ArenaAllocatorAdapter, WorksAsContainerAllocator) {
-  std::vector<int, ArenaAllocator<int>> v;
-  for (int i = 0; i < 1000; ++i) v.push_back(i);
-  for (int i = 0; i < 1000; ++i) ASSERT_EQ(v[i], i);
-  // Allocators of different value types compare equal (one shared arena).
-  EXPECT_TRUE((ArenaAllocator<int>{} == ArenaAllocator<double>{}));
 }

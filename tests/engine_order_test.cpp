@@ -3,6 +3,8 @@
 // equals a reference (time, seq) priority queue — i.e. strict time order
 // with FIFO tie-break, the determinism contract every Simulation relies on.
 
+#include <cmath>
+#include <coroutine>
 #include <cstdint>
 #include <queue>
 #include <vector>
@@ -10,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/engine.hpp"
+#include "sim/task.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -126,6 +129,108 @@ TEST(EngineOrder, EqualTimeBursts) {
 TEST(EngineOrder, DegenerateTinySpreads) {
   stress(6, kBudget,
          [](Rng& r, std::uint64_t) { return 1e-18 * r.uniform(); });
+}
+
+// Coroutine resumes and callbacks share one slot pool and one inline
+// callback path; interleaving them (including same-time resumes) must not
+// disturb the (time, seq) order.
+struct Mixed {
+  Engine& e;
+  RefQueue& ref;
+  Rng& rng;
+  std::uint64_t nextId = 0;
+  std::uint64_t budget = 0;
+  std::vector<std::uint64_t> popped;
+
+  double delta() {
+    const double u = rng.uniform();
+    if (u < 0.3) return 0.0;
+    if (u < 0.6) return 1e-6 * static_cast<int>(rng.uniform() * 4);
+    return 1e-6 * rng.uniform();
+  }
+  void scheduleCallback() {
+    if (budget == 0) return;
+    --budget;
+    const double t = e.now() + delta();
+    const std::uint64_t id = nextId++;
+    ref.push(t, id);
+    e.scheduleCallback(t, [this, id] {
+      popped.push_back(id);
+      if (rng.uniform() < 0.6) scheduleCallback();
+    });
+  }
+};
+
+struct Sleep {
+  Mixed& m;
+  double t;
+  std::uint64_t id = 0;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    id = m.nextId++;
+    m.ref.push(t, id);
+    m.e.schedule(t, h);
+  }
+  void await_resume() const { m.popped.push_back(id); }
+};
+
+bgp::sim::Task sleeper(Mixed& m, int hops) {
+  for (int i = 0; i < hops; ++i) {
+    co_await Sleep{m, m.e.now() + m.delta()};
+    m.scheduleCallback();  // a callback chain per resume
+  }
+}
+
+TEST(EngineOrder, CoroutineResumesInterleavedWithCallbacks) {
+  Engine e;
+  RefQueue ref;
+  Rng rng(8);
+  Mixed m{e, ref, rng};
+  m.budget = 20000;
+  std::vector<bgp::sim::Task> tasks;
+  for (int i = 0; i < 48; ++i) {
+    tasks.push_back(sleeper(m, 200));
+    const std::uint64_t id = m.nextId++;
+    ref.push(0.0, id);
+    e.scheduleCallback(0.0, [&m, id, h = tasks.back().handle()] {
+      m.popped.push_back(id);
+      h.resume();
+    });
+  }
+  for (int i = 0; i < 64; ++i) m.scheduleCallback();
+  e.run();
+  for (const auto& t : tasks) EXPECT_TRUE(t.finished());
+  ASSERT_EQ(m.popped.size(), m.nextId);
+  for (std::size_t i = 0; i < m.popped.size(); ++i)
+    ASSERT_EQ(ref.pop().id, m.popped[i]) << "pop " << i << " out of order";
+}
+
+// Epochs of clustered times: each epoch nests event clusters at spans
+// 128^-k, so every rung's first bucket overflows into a finer rung and
+// the ladder goes at least 6 rungs deep.  Afterwards the drained buckets
+// must have released their storage.
+TEST(EngineOrder, ClusteredEpochsDriveDeepLadderAndReleaseStorage) {
+  Engine e;
+  RefQueue ref;
+  Rng rng(9);
+  std::uint64_t nextId = 0;
+  std::vector<std::uint64_t> popped;
+  for (int epoch = 0; epoch < 4; ++epoch) {
+    const double base = e.now() + 1.0;
+    for (int i = 0; i < 20000; ++i) {
+      const int level = static_cast<int>(rng.uniform() * 7);
+      const double t = base + std::ldexp(rng.uniform(), -7 * level);
+      const std::uint64_t id = nextId++;
+      ref.push(t, id);
+      e.scheduleCallback(t, [&popped, id] { popped.push_back(id); });
+    }
+    e.run();
+  }
+  ASSERT_EQ(popped.size(), nextId);
+  for (std::size_t i = 0; i < popped.size(); ++i)
+    ASSERT_EQ(ref.pop().id, popped[i]) << "pop " << i << " out of order";
+  EXPECT_GE(e.ladderDepth(), 6u);
+  EXPECT_LE(e.retainedKeyCapacity(), 2 * e.peakPending());
 }
 
 // Negative zero must compare equal to +0.0 delay (bit pattern differs).

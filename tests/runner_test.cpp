@@ -27,6 +27,19 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
+// Regression: the destructor used to set the stop flag without holding
+// the wake mutex, so a worker that had just tested its wait predicate
+// could miss the final notify and hang join().  Thousands of short-lived
+// pools make that window likely enough to hit within ctest's timeout.
+TEST(ThreadPool, CreateUseDestroyNeverHangs) {
+  for (int round = 0; round < 2000; ++round) {
+    ThreadPool pool(2);
+    std::atomic<std::size_t> sum{0};
+    pool.parallelFor(4, [&](std::size_t i) { sum.fetch_add(i); });
+    ASSERT_EQ(sum.load(), 6u) << "round " << round;
+  }
+}
+
 TEST(ThreadPool, ZeroWorkersFallsBackToCaller) {
   ThreadPool pool(1);  // one worker: parallelFor runs inline on the caller
   std::vector<int> hits(64, 0);

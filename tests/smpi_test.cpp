@@ -494,6 +494,49 @@ TEST(Smpi, WaitAnyReadyImmediatelyWhenOneDone) {
   EXPECT_EQ(idx, 0u);
 }
 
+TEST(Smpi, WaitAnyLosersCompleteAfterResumeAndCanBeReawaited) {
+  // The waitAny awaiter is registered on every request while suspended
+  // and must unregister from the losers when it resumes: they complete
+  // later, after its frame slot has been reused by other awaiters, and
+  // are then awaited again (ready and blocking).
+  Simulation sim(machineByName("BG/P"), 3);
+  std::size_t first = 999, second = 999;
+  bool losersPendingAtResume = false;  // and no longer carry its waiter
+  bool lateLoserDoneAtRewait = true;
+  double lastTime = 0;
+  const RunResult result = sim.run([&](Rank& self) -> sim::Task {
+    if (self.id() == 0) {
+      Request a = self.irecv(1, 0);
+      Request b = self.irecv(2, 0);
+      Request c = self.irecv(1, 1);
+      std::vector<Request> all{a, b, c};
+      first = co_await self.waitAny(all);
+      losersPendingAtResume = !b->complete && !c->complete &&
+                              b->pendingWaiters() == 0 &&
+                              c->pendingWaiters() == 0;
+      co_await self.compute(1e-3);  // b lands meanwhile, c much later
+      lateLoserDoneAtRewait = c->complete;
+      std::vector<Request> losers{b, c};
+      second = co_await self.waitAny(losers);  // ready: b already done
+      co_await self.wait(c);                   // blocks until c lands
+      lastTime = self.now();
+    } else if (self.id() == 1) {
+      co_await self.send(0, 8, 0);
+      co_await self.compute(5e-3);
+      co_await self.send(0, 8, 1);
+    } else {
+      co_await self.compute(2e-4);
+      co_await self.send(0, 8, 0);
+    }
+  });
+  EXPECT_EQ(first, 0u);
+  EXPECT_TRUE(losersPendingAtResume);
+  EXPECT_FALSE(lateLoserDoneAtRewait);
+  EXPECT_EQ(second, 0u);
+  EXPECT_GT(lastTime, 5e-3);
+  EXPECT_EQ(result.makespan, lastTime);
+}
+
 TEST(Smpi, WaitAnyRejectsEmpty) {
   Simulation sim(machineByName("BG/P"), 1);
   EXPECT_THROW(sim.run([](Rank& self) -> sim::Task {

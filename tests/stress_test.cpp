@@ -8,13 +8,21 @@
 
 #include <cmath>
 #include <numeric>
+#include <ostream>
+#include <string>
 
+#include "arch/exec_mode.hpp"
 #include "arch/machines.hpp"
 #include "net/torus_network.hpp"
 #include "smpi/simulation.hpp"
 #include "support/rng.hpp"
 
 namespace bgp {
+namespace arch {
+// gtest finds this by ADL when it prints a MachineModeMatrix parameter.
+inline void PrintTo(ExecMode mode, std::ostream* os) { *os << toString(mode); }
+}  // namespace arch
+
 namespace {
 
 using arch::machineByName;
@@ -279,8 +287,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FaultFuzzSeeds,
 
 // ---- machine x mode matrix ---------------------------------------------------------
 
+// The machine is a std::string, not a const char*, and the mode prints by
+// name: the printed parameter is part of each test's ctest name, and a
+// pointer would print as an address that moves from run to run.
 class MachineModeMatrix
-    : public ::testing::TestWithParam<std::tuple<const char*, arch::ExecMode>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, arch::ExecMode>> {
 };
 
 TEST_P(MachineModeMatrix, StencilProgramRunsEverywhere) {
