@@ -1,7 +1,8 @@
 // Critical-path extraction and logical-zeroing what-if replays — the
 // finalize-time stages of obs::Profiler that reason over the recorded
-// per-rank timelines plus the happens-before edges (message matches,
-// gate arrivals) the analysis capture recorded.
+// per-rank timelines plus the happens-before facts the profiler recorded
+// alongside them (message matches, send destinations, each gate's last
+// arrival).
 //
 // The path walk runs BACKWARD from the makespan: at (rank, t) it finds
 // the recorded item covering t.  Compute spans are attributed directly;
@@ -24,20 +25,15 @@
 #include <algorithm>
 #include <cstddef>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/profiler.hpp"
-#include "smpi/analysis/capture.hpp"
 #include "smpi/simulation.hpp"
 
 namespace bgp::obs {
 
 void Profiler::computeCriticalPath(const smpi::RunResult& result) {
-  namespace an = bgp::smpi::analysis;
   CriticalPath& cp = profile_.critical;
-  const an::Capture* cap = sim_->capture();
-  const an::OpGraph& graph = cap->graph();
   net::System& sys = sim_->system();
   const net::TorusNetwork& torus = sys.torusNetwork();
   const net::TorusParams& tp = torus.params();
@@ -101,23 +97,20 @@ void Profiler::computeCriticalPath(const smpi::RunResult& result) {
     }
 
     // Blocking wait.  Resolve the releasing op.
-    const smpi::OpState* rel = item->op;
-    const auto orec = rel ? ops_.find(rel) : ops_.end();
-    if (!rel || orec == ops_.end()) {
+    const OpRec* self = rec(item->op);
+    if (!self) {
       emit(rank, item->begin, t, PathKind::Unattributed, "unknown release");
       t = item->begin;
       continue;
     }
 
-    if (orec->second.kind == OpRec::Kind::Gate) {
-      const auto git = gates_.find(rel);
-      if (git == gates_.end() || git->second.done < 0 ||
-          git->second.lastArrival >= t) {
+    if (self->kind == OpRec::Kind::Gate) {
+      const GateRec& g = gates_[self->gate];
+      if (g.done < 0 || g.lastArrival >= t) {
         emit(rank, item->begin, t, PathKind::Unattributed, "collective");
         t = item->begin;
         continue;
       }
-      const GateRec& g = git->second;
       const char* name = collName(g.kind);
       // The gate's span from its last arrival splits into the model's
       // zero-byte latency floor and the payload-dependent remainder.
@@ -127,46 +120,33 @@ void Profiler::computeCriticalPath(const smpi::RunResult& result) {
       lat = std::min(std::max(lat, 0.0), span);
       emit(rank, g.lastArrival + lat, t, PathKind::Serialization, name);
       emit(rank, g.lastArrival, g.lastArrival + lat, PathKind::Latency, name);
-      const std::int32_t lastNode = graph.lastGateArrival(g.commId, g.seq);
-      if (lastNode >= 0) rank = graph.node(lastNode).world;
+      rank = g.lastWorld;
       t = g.lastArrival;
       continue;
     }
 
-    // Point-to-point.  Locate self and (if matched) the partner in the
-    // op-graph to find the causing issue.
-    const std::int32_t selfNode = cap->nodeIdOf(rel);
-    if (selfNode < 0) {
-      emit(rank, item->begin, t, PathKind::Unattributed, "p2p (uncaptured)");
-      t = item->begin;
-      continue;
-    }
-    const an::OpNode& self = graph.node(selfNode);
-    const bool relIsSend = orec->second.kind == OpRec::Kind::Send;
+    // Point-to-point: the causing issue is the matched partner's (if
+    // any).
+    const bool relIsSend = self->kind == OpRec::Kind::Send;
     double sendIssue = 0.0, recvPost = 0.0;
     int sendWorld = -1, recvWorld = -1;
     double bytes = 0.0;
-    bool matched = self.matched >= 0;
+    const OpRec* partner = rec(self->partner);
+    const bool matched = partner != nullptr;
     if (matched) {
-      const an::OpNode& partner = graph.node(self.matched);
-      const an::OpNode& snd = relIsSend ? self : partner;
-      const an::OpNode& rcv = relIsSend ? partner : self;
-      sendIssue = snd.time;
+      const OpRec& snd = relIsSend ? *self : *partner;
+      const OpRec& rcv = relIsSend ? *partner : *self;
+      sendIssue = snd.issue;
       sendWorld = snd.world;
-      recvPost = rcv.time;
+      recvPost = rcv.issue;
       recvWorld = rcv.world;
       bytes = snd.bytes;
     } else if (relIsSend) {
       // Eager send completed at injection without a receiver yet.
-      sendIssue = self.time;
-      sendWorld = self.world;
-      bytes = self.bytes;
-      const an::CommInfo* ci = graph.comm(self.commId);
-      recvWorld = (ci && self.peer >= 0 &&
-                   self.peer < static_cast<int>(ci->worldOfCommRank.size()))
-                      ? ci->worldOfCommRank[static_cast<std::size_t>(
-                            self.peer)]
-                      : self.world;
+      sendIssue = self->issue;
+      sendWorld = self->world;
+      bytes = self->bytes;
+      recvWorld = self->peerWorld;
       recvPost = sendIssue;
     } else {
       emit(rank, item->begin, t, PathKind::Unattributed, "recv (unmatched)");
@@ -252,80 +232,76 @@ void Profiler::computeCriticalPath(const smpi::RunResult& result) {
 }
 
 double Profiler::replay(bool zeroNetwork, bool zeroCompute) const {
-  namespace an = bgp::smpi::analysis;
-  const an::Capture* cap = sim_->capture();
-  const an::OpGraph& graph = cap->graph();
   const double eagerThresh = sim_->system().eagerThreshold();
   const int n = profile_.nranks;
 
-  // Per-p2p-op replay spec: the graph nodes whose (replayed) issue times
-  // gate it, and the measured cause->completion span.
+  // Per-p2p-op replay spec (by op id): the ops whose (replayed) issue
+  // times gate it, and the measured cause->completion span.
   struct P2pSpec {
-    std::int32_t sendNode = -1;
-    std::int32_t recvNode = -1;  // < 0: unmatched (eager fire-and-forget)
+    std::uint64_t sendOp = kNoOp;  // kNoOp: no spec (cannot replay)
+    std::uint64_t recvOp = kNoOp;  // kNoOp: unmatched (eager fire-and-forget)
     bool eager = true;
     double span = 0.0;
   };
-  std::unordered_map<const smpi::OpState*, P2pSpec> p2p;
-  p2p.reserve(ops_.size());
-  for (const auto& [op, rec] : ops_) {
-    if (rec.kind == OpRec::Kind::Gate) continue;
-    if (rec.completion < 0) continue;  // never completed: never waited
-    const std::int32_t selfNode = cap->nodeIdOf(op);
-    if (selfNode < 0) continue;
-    const an::OpNode& self = graph.node(selfNode);
+  std::vector<P2pSpec> p2p(ops_.size());
+  for (std::uint64_t id = 0; id < ops_.size(); ++id) {
+    const OpRec& self = ops_[id];
+    if (self.kind != OpRec::Kind::Send && self.kind != OpRec::Kind::Recv)
+      continue;
+    if (self.completion < 0) continue;  // never completed: never waited
     P2pSpec s;
-    if (self.kind == an::OpKind::Send) {
-      s.sendNode = selfNode;
-      s.recvNode = self.matched;
+    if (self.kind == OpRec::Kind::Send) {
+      s.sendOp = id;
+      s.recvOp = self.partner;
     } else {
-      s.recvNode = selfNode;
-      s.sendNode = self.matched;
+      s.recvOp = id;
+      s.sendOp = self.partner;
     }
-    if (s.sendNode < 0) continue;  // unmatched recv: cannot replay
-    const double bytes = graph.node(s.sendNode).bytes;
-    s.eager = bytes <= eagerThresh || s.recvNode < 0;
+    if (s.sendOp == kNoOp) continue;  // unmatched recv: cannot replay
+    const OpRec& snd = ops_[s.sendOp];
+    s.eager = snd.bytes <= eagerThresh || s.recvOp == kNoOp;
     const double cause =
-        s.eager ? graph.node(s.sendNode).time
-                : std::max(graph.node(s.sendNode).time,
-                           graph.node(s.recvNode).time);
-    s.span = std::max(0.0, rec.completion - cause);
-    p2p.emplace(op, s);
+        s.eager ? snd.issue : std::max(snd.issue, ops_[s.recvOp].issue);
+    s.span = std::max(0.0, self.completion - cause);
+    p2p[id] = s;
   }
 
   struct GateReplay {
     int expected = 0;
-    double duration = 0.0;
+    double duration = -1.0;  // < 0: the gate never completed
     int arrived = 0;
     double maxArrival = 0.0;
     double done = -1.0;
   };
-  std::unordered_map<const smpi::OpState*, GateReplay> gatesR;
-  gatesR.reserve(gates_.size());
-  for (const auto& [op, g] : gates_) {
-    if (g.duration < 0) continue;
-    gatesR.emplace(op, GateReplay{g.nranks, g.duration, 0, 0.0, -1.0});
-  }
+  std::vector<GateReplay> gatesR(gates_.size());
+  for (std::size_t i = 0; i < gates_.size(); ++i)
+    gatesR[i] = GateReplay{gates_[i].nranks, gates_[i].duration, 0, 0.0, -1.0};
+  // The replay state of a completed gate op, or null.
+  const auto gateOf = [&](std::uint64_t op) -> GateReplay* {
+    const OpRec* r = rec(op);
+    if (!r || r->kind != OpRec::Kind::Gate) return nullptr;
+    GateReplay& g = gatesR[r->gate];
+    return g.duration < 0 ? nullptr : &g;
+  };
 
-  // Replayed issue time per graph node (p2p issues only), -1 = not yet.
-  std::vector<double> newIssue(graph.nodes().size(), -1.0);
+  // Replayed issue time per op id (p2p issues only), -1 = not yet.
+  std::vector<double> newIssue(ops_.size(), -1.0);
 
-  const auto completionOf = [&](const smpi::OpState* op, double& out) {
-    if (const auto git = gatesR.find(op); git != gatesR.end()) {
-      if (git->second.done < 0) return false;
-      out = git->second.done;
+  const auto completionOf = [&](std::uint64_t op, double& out) {
+    if (const GateReplay* g = gateOf(op)) {
+      if (g->done < 0) return false;
+      out = g->done;
       return true;
     }
-    const auto pit = p2p.find(op);
-    if (pit == p2p.end()) return false;
-    const P2pSpec& s = pit->second;
+    if (op >= p2p.size() || p2p[op].sendOp == kNoOp) return false;
+    const P2pSpec& s = p2p[op];
     double cause;
     if (s.eager) {
-      if (newIssue[static_cast<std::size_t>(s.sendNode)] < 0) return false;
-      cause = newIssue[static_cast<std::size_t>(s.sendNode)];
+      if (newIssue[s.sendOp] < 0) return false;
+      cause = newIssue[s.sendOp];
     } else {
-      const double si = newIssue[static_cast<std::size_t>(s.sendNode)];
-      const double ri = newIssue[static_cast<std::size_t>(s.recvNode)];
+      const double si = newIssue[s.sendOp];
+      const double ri = newIssue[s.recvOp];
       if (si < 0 || ri < 0) return false;
       cause = std::max(si, ri);
     }
@@ -348,15 +324,13 @@ double Profiler::replay(bool zeroNetwork, bool zeroCompute) const {
         if (it.kind == Item::Kind::Compute) {
           clock[ri] += zeroCompute ? 0.0 : (it.end - it.begin);
         } else if (it.kind == Item::Kind::Issue) {
-          if (const auto git = gatesR.find(it.op); git != gatesR.end()) {
-            GateReplay& g = git->second;
-            ++g.arrived;
-            g.maxArrival = std::max(g.maxArrival, clock[ri]);
-            if (g.arrived >= g.expected)
-              g.done = g.maxArrival + (zeroNetwork ? 0.0 : g.duration);
-          } else {
-            const std::int32_t node = cap->nodeIdOf(it.op);
-            if (node >= 0) newIssue[static_cast<std::size_t>(node)] = clock[ri];
+          if (GateReplay* g = gateOf(it.op)) {
+            ++g->arrived;
+            g->maxArrival = std::max(g->maxArrival, clock[ri]);
+            if (g->arrived >= g->expected)
+              g->done = g->maxArrival + (zeroNetwork ? 0.0 : g->duration);
+          } else if (ops_[it.op].kind != OpRec::Kind::Gate) {
+            newIssue[it.op] = clock[ri];
           }
         } else {  // Block
           double until = clock[ri];
@@ -365,7 +339,7 @@ double Profiler::replay(bool zeroNetwork, bool zeroCompute) const {
             // Approximation: the replay resolves a waitAny against the
             // op that actually fired in the executed schedule.
             double c;
-            ok = it.op && completionOf(it.op, c);
+            ok = it.op != kNoOp && completionOf(it.op, c);
             if (ok) until = std::max(until, c);
           } else {
             const auto& wl = waitOps_[ri];

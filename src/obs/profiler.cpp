@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/breakdown.hpp"
-#include "smpi/analysis/capture.hpp"
 #include "smpi/comm.hpp"
 #include "smpi/rank.hpp"
 #include "smpi/simulation.hpp"
@@ -55,9 +54,14 @@ Profiler::Profiler(smpi::Simulation& sim, ProfileOptions options)
 Profiler::~Profiler() = default;
 
 const char* Profiler::opName(const smpi::OpState& op) const {
-  const auto it = gates_.find(&op);
-  if (it != gates_.end()) return collName(it->second.kind);
+  const OpRec* r = rec(op.id);
+  if (r && r->kind == OpRec::Kind::Gate) return collName(gates_[r->gate].kind);
   return op.what;  // "send" / "recv" / "collective"
+}
+
+Profiler::OpRec& Profiler::addRec(std::uint64_t id) {
+  if (id >= ops_.size()) ops_.resize(id + 1);
+  return ops_[id];
 }
 
 Profiler::SiteAgg& Profiler::siteAgg(int rank, const char* op) {
@@ -91,35 +95,45 @@ void Profiler::histAdd(sim::SimTime t, double bytes) {
 
 // ---- runtime hooks ----------------------------------------------------------
 
-void Profiler::onP2pIssue(const smpi::Comm&, const smpi::Request& op,
+void Profiler::onP2pIssue(const smpi::Comm& comm, smpi::OpState& op,
                           bool isSend, sim::SimTime now) {
-  const int rank = op->ownerWorld;
+  const int rank = op.ownerWorld;
   SiteAgg& agg = siteAgg(rank, isSend ? "send" : "recv");
   ++agg.count;
-  agg.bytes += op->bytes;
+  agg.bytes += op.bytes;
   if (!detailed()) return;
-  ops_.emplace(op.get(),
-               OpRec{now, -1.0, op->bytes,
-                     isSend ? OpRec::Kind::Send : OpRec::Kind::Recv, false});
-  pinned_.push_back(op);
+  OpRec& r = addRec(op.id);
+  r.issue = now;
+  r.bytes = op.bytes;
+  r.world = rank;
+  r.kind = isSend ? OpRec::Kind::Send : OpRec::Kind::Recv;
+  if (isSend) r.peerWorld = comm.worldRank(op.peer);
   items_[static_cast<std::size_t>(rank)].push_back(
-      Item{Item::Kind::Issue, now, now, op.get(), 0, 0, false});
+      Item{Item::Kind::Issue, now, now, op.id, 0, 0, false});
   ++itemCount_;
   // Completion stamp: registered at issue, so it takes the OpState's
   // inline waiter slot and fires first (a profile-on-only cost; the
   // awaiter's waiter spills to the vector).
-  op->onComplete(smpi::Waiter{&Profiler::stampCompletion, this});
+  op.onComplete(smpi::Waiter{&Profiler::stampCompletion, this});
   checkBudget();
 }
 
 void Profiler::stampCompletion(void* self, smpi::OpState& op) {
   auto& prof = *static_cast<Profiler*>(self);
-  const auto it = prof.ops_.find(&op);
-  if (it != prof.ops_.end() && it->second.completion < 0)
-    it->second.completion = prof.sim_->engine().now();
+  OpRec* r = prof.rec(op.id);
+  if (r && r->completion < 0) r->completion = prof.sim_->engine().now();
 }
 
-void Profiler::onCollArrival(const smpi::Comm& comm, const smpi::Request& op,
+void Profiler::onMatch(const smpi::OpState& sendOp,
+                       const smpi::OpState& recvOp) {
+  OpRec* s = rec(sendOp.id);
+  OpRec* r = rec(recvOp.id);
+  if (!s || !r) return;  // one side issued after the budget hit
+  s->partner = recvOp.id;
+  r->partner = sendOp.id;
+}
+
+void Profiler::onCollArrival(const smpi::Comm& comm, const smpi::OpState& op,
                              net::CollKind kind, double bytes, int commRank,
                              sim::SimTime now) {
   const int rank = comm.worldRank(commRank);
@@ -127,29 +141,29 @@ void Profiler::onCollArrival(const smpi::Comm& comm, const smpi::Request& op,
   ++agg.count;
   agg.bytes += bytes;
   if (!detailed()) return;
-  const auto fresh =
-      ops_.emplace(op.get(), OpRec{now, -1.0, bytes, OpRec::Kind::Gate, false})
-          .second;
-  if (fresh) {
-    pinned_.push_back(op);
+  if (!recorded(op.id)) {  // the gate's first arrival
+    OpRec& r = addRec(op.id);
+    r.issue = now;
+    r.bytes = bytes;
+    r.world = rank;
+    r.kind = OpRec::Kind::Gate;
+    r.gate = static_cast<std::uint32_t>(gates_.size());
     GateRec g;
-    g.commId = comm.id();
-    g.seq = op->collSeq;
     g.nranks = comm.size();
     g.fullPartition = comm.id() == 0;
     g.kind = kind;
-    gates_.emplace(op.get(), g);
+    gates_.push_back(g);
   }
   items_[static_cast<std::size_t>(rank)].push_back(
-      Item{Item::Kind::Issue, now, now, op.get(), 0, 0, false});
+      Item{Item::Kind::Issue, now, now, op.id, 0, 0, false});
   ++itemCount_;
   checkBudget();
 }
 
-void Profiler::onCollComplete(const smpi::Comm& comm, const smpi::Request& op,
+void Profiler::onCollComplete(const smpi::Comm& comm, const smpi::OpState& op,
                               net::CollKind kind, double bytes, net::Dtype dt,
-                              sim::SimTime lastArrival, double duration,
-                              sim::SimTime done) {
+                              int lastWorld, sim::SimTime lastArrival,
+                              double duration, sim::SimTime done) {
   CollAgg& agg = collAggs_[kind];
   ++agg.gates;
   agg.bytes += bytes;
@@ -164,34 +178,48 @@ void Profiler::onCollComplete(const smpi::Comm& comm, const smpi::Request& op,
     ++agg.torusGates;
   }
   if (!detailed()) return;
-  const auto git = gates_.find(op.get());
-  if (git == gates_.end()) return;
-  GateRec& g = git->second;
+  OpRec* r = rec(op.id);
+  if (!r) return;
+  GateRec& g = gates_[r->gate];
   g.dt = dt;
   g.bytes = bytes;
+  g.lastWorld = lastWorld;
   g.lastArrival = lastArrival;
   g.duration = duration;
   g.done = done;
-  const auto oit = ops_.find(op.get());
-  if (oit != ops_.end()) oit->second.completion = done;
+  r->completion = done;
 }
 
 void Profiler::onCompute(int rank, sim::SimTime now, double seconds) {
   if (!detailed()) return;
   items_[static_cast<std::size_t>(rank)].push_back(
-      Item{Item::Kind::Compute, now, now + seconds, nullptr, 0, 0, false});
+      Item{Item::Kind::Compute, now, now + seconds, kNoOp, 0, 0, false});
   ++itemCount_;
   checkBudget();
 }
 
-void Profiler::onBlockBegin(int rank, sim::SimTime now, bool collective) {
-  (void)collective;  // breakdown classification comes from RankStats
+void Profiler::onBlockBegin(int rank, sim::SimTime now) {
   open_[static_cast<std::size_t>(rank)] = OpenBlock{now, true};
 }
 
-void Profiler::blockEnd(int rank, const std::vector<smpi::Request>& ops,
-                        const smpi::OpState* release, bool any,
-                        sim::SimTime now) {
+// Closes the open block (if any) on `rank`, computes overlap for the
+// waited ops, picks the releasing op, and appends the Block item.
+void Profiler::onWaitDone(int rank, const std::vector<smpi::Request>& ops,
+                          std::size_t fired, sim::SimTime now) {
+  // The releasing op: the one a waitAny returned, else the one that
+  // completed last (ties: the later list position — the engine resumed
+  // us off its waiter last).
+  const bool any = fired < ops.size();
+  const smpi::OpState* release = any ? ops[fired].get() : nullptr;
+  sim::SimTime best = -1.0;
+  for (std::size_t i = 0; !any && i < ops.size(); ++i) {
+    const OpRec* r = rec(ops[i]->id);
+    if (r && r->completion >= 0 && r->completion >= best) {
+      best = r->completion;
+      release = ops[i].get();
+    }
+  }
+
   OpenBlock& ob = open_[static_cast<std::size_t>(rank)];
   const sim::SimTime begin = ob.open ? ob.begin : now;  // ready-at-await: 0-wide
   ob.open = false;
@@ -201,12 +229,10 @@ void Profiler::blockEnd(int rank, const std::vector<smpi::Request>& ops,
   // the op progressed while the rank did other work.  Counted once per
   // op even across waitAny revisits.
   for (const auto& op : ops) {
-    const auto it = ops_.find(op.get());
-    if (it == ops_.end()) continue;
-    OpRec& rec = it->second;
-    if (rec.completion < 0 || rec.overlapCounted) continue;
-    rec.overlapCounted = true;
-    const double ov = std::min(begin, rec.completion) - rec.issue;
+    OpRec* r = rec(op->id);
+    if (!r || r->completion < 0 || r->overlapCounted) continue;
+    r->overlapCounted = true;
+    const double ov = std::min(begin, r->completion) - r->issue;
     if (ov > 0) overlap_[static_cast<std::size_t>(rank)] += ov;
   }
 
@@ -224,36 +250,14 @@ void Profiler::blockEnd(int rank, const std::vector<smpi::Request>& ops,
   item.kind = Item::Kind::Block;
   item.begin = begin;
   item.end = now;
-  item.op = release;
+  item.op = release ? release->id : kNoOp;
   item.firstWait = static_cast<std::uint32_t>(wl.size());
   item.waitCount = static_cast<std::uint32_t>(ops.size());
   item.any = any;
-  for (const auto& op : ops) wl.push_back(op.get());
+  for (const auto& op : ops) wl.push_back(op->id);
   items_[static_cast<std::size_t>(rank)].push_back(item);
   itemCount_ += 1 + ops.size();
   checkBudget();
-}
-
-void Profiler::onBlockEnd(int rank, const std::vector<smpi::Request>& ops,
-                          sim::SimTime now) {
-  // The releasing op is the one that completed last (ties: the later
-  // list position — the engine resumed us off its waiter last).
-  const smpi::OpState* release = nullptr;
-  sim::SimTime best = -1.0;
-  for (const auto& op : ops) {
-    const auto it = ops_.find(op.get());
-    if (it == ops_.end() || it->second.completion < 0) continue;
-    if (it->second.completion >= best) {
-      best = it->second.completion;
-      release = op.get();
-    }
-  }
-  blockEnd(rank, ops, release, /*any=*/false, now);
-}
-
-void Profiler::onBlockEndAny(int rank, const std::vector<smpi::Request>& ops,
-                             std::size_t fired, sim::SimTime now) {
-  blockEnd(rank, ops, ops[fired].get(), /*any=*/true, now);
 }
 
 // ---- net::TorusNetwork::LinkObserver ----------------------------------------
@@ -297,10 +301,9 @@ void Profiler::finalize(const smpi::RunResult& result) {
   BGP_REQUIRE_MSG(!finalized_, "Profiler::finalize called twice");
   RunProfile& p = profile_;
   const int n = sim_->nranks();
-  const smpi::analysis::Capture* cap = sim_->capture();
   p.nranks = n;
   p.makespan = result.makespan;
-  p.truncated = truncated_ || !cap || cap->graph().truncated();
+  p.truncated = truncated_;
   p.engine.events = result.events;
   p.engine.peakPending = sim_->engine().peakPending();
 
@@ -413,18 +416,17 @@ void Profiler::finalize(const smpi::RunResult& result) {
   net.histBytes.assign(hist_.begin(),
                        hist_.begin() + static_cast<std::ptrdiff_t>(lastBin));
 
-  // Critical path + what-ifs need the full op record and the capture's
-  // happens-before edges; both are unavailable once truncated.
-  if (!p.truncated && cap) {
+  // Critical path + what-ifs need the full op record, unavailable once
+  // truncated.
+  if (!p.truncated) {
     computeCriticalPath(result);
     computeWhatIf(result);
   }
 
   // Release the detailed state; only the assembled RunProfile survives.
   sim_->system().torusNetwork().attachObserver(nullptr);
-  ops_.clear();
-  gates_.clear();
-  pinned_.clear();
+  std::vector<OpRec>().swap(ops_);
+  std::vector<GateRec>().swap(gates_);
   items_.clear();
   waitOps_.clear();
   open_.clear();

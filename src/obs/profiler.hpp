@@ -1,9 +1,10 @@
 #pragma once
 // The profiling plane: null-guard zero-cost observation of one
-// Simulation (the same pattern as smpi/analysis/capture — every runtime
-// hook sits behind `if (profiler_)` and never schedules events, so a
-// profile-off run is byte-identical to a build without this module, and
-// a profile-on run produces identical simulated timings).
+// Simulation.  Like the verifier and the analysis capture, its hooks are
+// called from Simulation's per-event notification points behind a null
+// check and never schedule events, so a profile-off run is byte-identical
+// to a build without this module, and a profile-on run produces
+// identical simulated timings.
 //
 // Three ways to turn it on:
 //  * Simulation::enableProfile() — programs that own their Simulation;
@@ -13,17 +14,17 @@
 //    thread pool, and --profile must see all of them);
 //  * tools/bgpprof — wraps the scenario registry in a ProfileScope.
 //
-// Profiling implies capture: the critical-path walk and the what-if
-// replays reuse the happens-before edges (message matches, gate
-// arrivals) that smpi/analysis/op_graph records, so enabling a profiler
-// on a Simulation without a capture auto-creates one.
+// The profiler is self-contained: it records the happens-before facts
+// its critical-path walk and what-if replays read (each send's matched
+// receive and destination rank, each gate's last-arriving rank) itself,
+// keyed by the per-Simulation op id, so it keeps no op alive and needs
+// no analysis capture.
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/collective_model.hpp"
@@ -65,28 +66,29 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   Profiler& operator=(const Profiler&) = delete;
 
   // ---- runtime hooks (called by Simulation/Rank when enabled) ----------
-  void onP2pIssue(const smpi::Comm& comm, const smpi::Request& op,
-                  bool isSend, sim::SimTime now);
-  void onCollArrival(const smpi::Comm& comm, const smpi::Request& op,
+  void onP2pIssue(const smpi::Comm& comm, smpi::OpState& op, bool isSend,
+                  sim::SimTime now);
+  /// A send was matched to a receive.
+  void onMatch(const smpi::OpState& sendOp, const smpi::OpState& recvOp);
+  void onCollArrival(const smpi::Comm& comm, const smpi::OpState& op,
                      net::CollKind kind, double bytes, int commRank,
                      sim::SimTime now);
-  /// The gate's last member arrived; `duration` is the modeled cost and
-  /// `done` = lastArrival + duration is when every member resumes.
-  void onCollComplete(const smpi::Comm& comm, const smpi::Request& op,
+  /// The gate's last member (world rank `lastWorld`) arrived; `duration`
+  /// is the modeled cost and `done` = lastArrival + duration is when
+  /// every member resumes.
+  void onCollComplete(const smpi::Comm& comm, const smpi::OpState& op,
                       net::CollKind kind, double bytes, net::Dtype dt,
-                      sim::SimTime lastArrival, double duration,
-                      sim::SimTime done);
+                      int lastWorld, sim::SimTime lastArrival,
+                      double duration, sim::SimTime done);
   void onCompute(int rank, sim::SimTime now, double seconds);
   /// The rank suspended on a wait (only called when it actually blocks).
-  void onBlockBegin(int rank, sim::SimTime now, bool collective);
-  /// A wait/waitAll returned `ops`; called from await_resume whether or
+  void onBlockBegin(int rank, sim::SimTime now);
+  /// A waitAny returned ops[fired], or (fired == ops.size()) a
+  /// wait/waitAll returned `ops`.  Called from await_resume whether or
   /// not the rank suspended (a ready-at-await wait is a zero-width
   /// block, which still matters to the what-if dependency replay).
-  void onBlockEnd(int rank, const std::vector<smpi::Request>& ops,
-                  sim::SimTime now);
-  /// A waitAny returned ops[fired].
-  void onBlockEndAny(int rank, const std::vector<smpi::Request>& ops,
-                     std::size_t fired, sim::SimTime now);
+  void onWaitDone(int rank, const std::vector<smpi::Request>& ops,
+                  std::size_t fired, sim::SimTime now);
 
   // ---- net::TorusNetwork::LinkObserver ---------------------------------
   void onLinkClaim(topo::LinkId link, sim::SimTime claim, double serSeconds,
@@ -106,6 +108,9 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   const ProfileOptions& options() const { return options_; }
 
  private:
+  /// "No op" in an op-id field.
+  static constexpr std::uint64_t kNoOp = ~std::uint64_t{0};
+
   // One recorded timeline item.  Per rank, items append in program order
   // (a rank is sequential), which the critical-path walk and the what-if
   // replay both rely on.
@@ -113,29 +118,35 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
     enum class Kind : std::uint8_t { Compute, Block, Issue };
     Kind kind = Kind::Issue;
     sim::SimTime begin = 0.0;
-    sim::SimTime end = 0.0;              // Compute/Block only
-    const smpi::OpState* op = nullptr;   // Issue: the op; Block: releaser
-    std::uint32_t firstWait = 0;         // Block: slice into waitOps_
+    sim::SimTime end = 0.0;        // Compute/Block only
+    std::uint64_t op = kNoOp;      // Issue: the op; Block: releaser
+    std::uint32_t firstWait = 0;   // Block: slice into waitOps_
     std::uint32_t waitCount = 0;
-    bool any = false;                    // Block came from a waitAny
+    bool any = false;              // Block came from a waitAny
   };
 
+  /// One op, indexed by its id in ops_.
   struct OpRec {
     sim::SimTime issue = 0.0;
     sim::SimTime completion = -1.0;  // < 0: never completed / still open
     double bytes = 0.0;
-    enum class Kind : std::uint8_t { Send, Recv, Gate } kind = Kind::Send;
+    std::uint64_t partner = kNoOp;  // p2p: the matched op, if recorded
+    int world = -1;                 // issuing world rank
+    int peerWorld = -1;             // Send: destination world rank
+    std::uint32_t gate = 0;         // Gate: index into gates_
+    // None: an id the profiler did not record (budget hit first).
+    enum class Kind : std::uint8_t { None, Send, Recv, Gate } kind =
+        Kind::None;
     bool overlapCounted = false;
   };
 
   struct GateRec {
-    int commId = -1;
-    std::uint64_t seq = 0;
     int nranks = 0;
     bool fullPartition = false;
     net::CollKind kind{};
     net::Dtype dt{};
     double bytes = 0.0;
+    int lastWorld = -1;  // the member the gate waited for
     sim::SimTime lastArrival = -1.0;
     double duration = -1.0;  // < 0: gate never completed
     sim::SimTime done = -1.0;
@@ -158,6 +169,16 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
 
   /// Detailed recording is on until the op/item budget trips.
   bool detailed() const { return !truncated_; }
+  bool recorded(std::uint64_t id) const {
+    return id < ops_.size() && ops_[id].kind != OpRec::Kind::None;
+  }
+  /// The record of op `id`, or null if it was not recorded.
+  OpRec* rec(std::uint64_t id) { return recorded(id) ? &ops_[id] : nullptr; }
+  const OpRec* rec(std::uint64_t id) const {
+    return recorded(id) ? &ops_[id] : nullptr;
+  }
+  /// Adds the record of op `id` (ids arrive in creation order).
+  OpRec& addRec(std::uint64_t id);
   void checkBudget();
   const std::string& siteOf(int rank) const {
     return sites_[static_cast<std::size_t>(rank)];
@@ -172,11 +193,6 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   /// completion time.
   static void stampCompletion(void* self, smpi::OpState& op);
 
-  /// Closes the open block (if any) on `rank`, computes overlap for the
-  /// waited ops, picks the releasing op, and appends the Block item.
-  void blockEnd(int rank, const std::vector<smpi::Request>& ops,
-                const smpi::OpState* release, bool any, sim::SimTime now);
-
   // ---- finalize stages (critical_path.cpp) -----------------------------
   void computeCriticalPath(const smpi::RunResult& result);
   void computeWhatIf(const smpi::RunResult& result);
@@ -190,11 +206,10 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   bool truncated_ = false;
   bool finalized_ = false;
 
-  std::unordered_map<const smpi::OpState*, OpRec> ops_;
-  std::unordered_map<const smpi::OpState*, GateRec> gates_;
-  std::vector<smpi::Request> pinned_;  // keep arena addresses unique
-  std::vector<std::vector<Item>> items_;            // per rank
-  std::vector<std::vector<const smpi::OpState*>> waitOps_;  // per rank
+  std::vector<OpRec> ops_;      // by op id
+  std::vector<GateRec> gates_;  // by OpRec::gate
+  std::vector<std::vector<Item>> items_;                // per rank
+  std::vector<std::vector<std::uint64_t>> waitOps_;     // per rank, op ids
   std::size_t itemCount_ = 0;
 
   struct OpenBlock {

@@ -28,45 +28,27 @@ void Capture::noteComm(const Comm& comm) {
   graph_.noteComm(comm.id(), std::move(info));
 }
 
-std::int32_t Capture::nodeOf(const OpState* op) const {
-  const auto it = byOp_.find(op);
-  return it == byOp_.end() ? -1 : it->second;
+std::int32_t Capture::nodeOf(const OpState& op) const {
+  return op.id < nodeOfOp_.size() ? nodeOfOp_[op.id] : -1;
 }
 
-void Capture::onSend(const Comm& comm, const Request& op, sim::SimTime now) {
+void Capture::onP2p(const Comm& comm, const OpState& op, bool isSend,
+                    sim::SimTime now) {
   if (full()) return;
   noteComm(comm);
   OpNode n;
-  n.kind = OpKind::Send;
-  n.world = op->ownerWorld;
+  n.kind = isSend ? OpKind::Send : OpKind::Recv;
+  n.world = op.ownerWorld;
   n.rankSeq = rankSeq_[static_cast<std::size_t>(n.world)]++;
   n.commId = comm.id();
   n.commRank = comm.commRankOf(n.world);
-  n.peer = op->peer;
-  n.tag = op->tag;
-  n.bytes = op->bytes;
+  n.peer = op.peer;  // Recv: may be kAnySource
+  n.tag = op.tag;    // Recv: may be kAnyTag
+  n.bytes = op.bytes;                  // Recv: 0
+  n.expectedBytes = op.expectedBytes;  // Send: -1
   n.time = now;
-  const auto id = graph_.add(std::move(n));
-  byOp_.emplace(op.get(), id);
-  pinned_.push_back(op);
-}
-
-void Capture::onRecv(const Comm& comm, const Request& op, sim::SimTime now) {
-  if (full()) return;
-  noteComm(comm);
-  OpNode n;
-  n.kind = OpKind::Recv;
-  n.world = op->ownerWorld;
-  n.rankSeq = rankSeq_[static_cast<std::size_t>(n.world)]++;
-  n.commId = comm.id();
-  n.commRank = comm.commRankOf(n.world);
-  n.peer = op->peer;  // may be kAnySource
-  n.tag = op->tag;    // may be kAnyTag
-  n.expectedBytes = op->expectedBytes;
-  n.time = now;
-  const auto id = graph_.add(std::move(n));
-  byOp_.emplace(op.get(), id);
-  pinned_.push_back(op);
+  if (op.id >= nodeOfOp_.size()) nodeOfOp_.resize(op.id + 1, -1);
+  nodeOfOp_[op.id] = graph_.add(std::move(n));
 }
 
 void Capture::onCollective(const Comm& comm, std::uint64_t seq, int commRank,
@@ -91,9 +73,9 @@ void Capture::onCollective(const Comm& comm, std::uint64_t seq, int commRank,
   graph_.addGateArrival(comm.id(), seq, id);
 }
 
-void Capture::onMatch(const Request& sendOp, const Request& recvOp) {
-  const std::int32_t s = nodeOf(sendOp.get());
-  const std::int32_t r = nodeOf(recvOp.get());
+void Capture::onMatch(const OpState& sendOp, const OpState& recvOp) {
+  const std::int32_t s = nodeOf(sendOp);
+  const std::int32_t r = nodeOf(recvOp);
   if (s < 0 || r < 0) return;  // one side recorded after the budget hit
   graph_.node(s).matched = r;
   graph_.node(r).matched = s;
@@ -115,7 +97,7 @@ void Capture::onWait(int world, const std::vector<Request>& ops,
   OpNode& w = graph_.node(wid);
   for (const Request& op : ops) {
     std::int32_t id = -1;
-    if (op->what[0] == 'c') {  // "collective": shared gate op, no byOp_ entry
+    if (op->what[0] == 'c') {  // "collective": shared gate op, no own node
       if (const auto* arrivals =
               graph_.gateArrivals(op->commId, op->collSeq)) {
         for (const std::int32_t a : *arrivals)
@@ -125,17 +107,13 @@ void Capture::onWait(int world, const std::vector<Request>& ops,
           }
       }
     } else {
-      id = nodeOf(op.get());
+      id = nodeOf(*op);
     }
     if (id < 0) continue;
     w.waited.push_back(id);
     OpNode& target = graph_.node(id);
     if (target.waitedAt < 0) target.waitedAt = wid;
   }
-}
-
-void Capture::onWaitOne(int world, const Request& op, sim::SimTime now) {
-  onWait(world, {op}, now);
 }
 
 // ---- CaptureScope ---------------------------------------------------------

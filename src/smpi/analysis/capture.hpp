@@ -17,14 +17,13 @@
 // a capture-on run produces the same simulated timings as capture-off.
 //
 // Cost when on: one OpNode per send/recv/collective-arrival/wait plus a
-// pinned Request per p2p op (pinning keeps arena-recycled OpState
-// addresses unique for the lifetime of the capture).  A run that exceeds
-// CaptureOptions::maxOps stops recording and marks the graph truncated —
-// reported, never silent.
+// 4-byte op-id -> node entry per op.  Ops are recognised by their
+// per-Simulation id, so the capture keeps no op alive.  A run that
+// exceeds CaptureOptions::maxOps stops recording and marks the graph
+// truncated — reported, never silent.
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "smpi/analysis/op_graph.hpp"
@@ -48,40 +47,34 @@ class Capture {
   Capture(int nranks, CaptureOptions options);
 
   // ---- runtime hooks (called by Simulation/Rank when enabled) ----------
-  void onSend(const Comm& comm, const Request& op, sim::SimTime now);
-  void onRecv(const Comm& comm, const Request& op, sim::SimTime now);
+  /// A send was issued or a receive posted.
+  void onP2p(const Comm& comm, const OpState& op, bool isSend,
+             sim::SimTime now);
   void onCollective(const Comm& comm, std::uint64_t seq, int commRank,
                     net::CollKind kind, int root, ReduceOp rop,
                     net::Dtype dt, double bytes, sim::SimTime now);
   /// A send was matched to a receive (eager delivery, RTS arrival, or a
   /// receive finding a staged message).
-  void onMatch(const Request& sendOp, const Request& recvOp);
-  /// A wait/waitAll returned `ops` to world rank `world`.
+  void onMatch(const OpState& sendOp, const OpState& recvOp);
+  /// A wait/waitAll (or, with one op, a waitAny) returned `ops` to world
+  /// rank `world`.
   void onWait(int world, const std::vector<Request>& ops, sim::SimTime now);
-  /// A waitAny returned exactly `op`.
-  void onWaitOne(int world, const Request& op, sim::SimTime now);
 
   // ---- results ---------------------------------------------------------
   OpGraph& graph() { return graph_; }
   const OpGraph& graph() const { return graph_; }
-
-  /// Graph node id of a p2p op, or -1 (unknown op / capture was full).
-  /// The observability plane uses this to walk from a blocking wait's
-  /// releasing op to the matched partner's issue.
-  std::int32_t nodeIdOf(const OpState* op) const { return nodeOf(op); }
 
  private:
   bool full();
   void noteComm(const Comm& comm);
   std::int32_t addWaitNode(int world, sim::SimTime now);
   /// Node id of a p2p op, or -1 (unknown op / capture was full).
-  std::int32_t nodeOf(const OpState* op) const;
+  std::int32_t nodeOf(const OpState& op) const;
 
   CaptureOptions options_;
   OpGraph graph_;
   std::vector<int> rankSeq_;  // next program-order index per world rank
-  std::unordered_map<const OpState*, std::int32_t> byOp_;
-  std::vector<Request> pinned_;
+  std::vector<std::int32_t> nodeOfOp_;  // p2p op id -> node id, -1 = none
 };
 
 /// Thread-local RAII capture scope: while alive, every Simulation

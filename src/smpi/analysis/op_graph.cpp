@@ -36,15 +36,6 @@ void OpGraph::addGateArrival(int commId, std::uint64_t seq,
   gates_[{commId, seq}].push_back(nodeId);
 }
 
-std::int32_t OpGraph::lastGateArrival(int commId, std::uint64_t seq) const {
-  const auto* arrivals = gateArrivals(commId, seq);
-  if (!arrivals || arrivals->empty()) return -1;
-  std::int32_t last = -1;
-  for (const std::int32_t a : *arrivals)
-    if (last < 0 || node(a).time >= node(last).time) last = a;
-  return last;
-}
-
 void OpGraph::noteComm(int commId, CommInfo info) {
   comms_.emplace(commId, std::move(info));
 }

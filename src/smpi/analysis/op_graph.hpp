@@ -94,11 +94,6 @@ class OpGraph {
   const std::vector<std::int32_t>* gateArrivals(int commId,
                                                std::uint64_t seq) const;
   void addGateArrival(int commId, std::uint64_t seq, std::int32_t nodeId);
-  /// The arrival node of gate (commId, seq) with the latest issue time —
-  /// the member the collective gated on (ties: the later arrival in
-  /// engine order wins, matching the runtime's last-arrival bookkeeping).
-  /// Returns -1 for an unknown gate.
-  std::int32_t lastGateArrival(int commId, std::uint64_t seq) const;
   /// All gates, keyed (commId, collSeq), ascending.
   const std::map<std::pair<int, std::uint64_t>, std::vector<std::int32_t>>&
   gates() const {

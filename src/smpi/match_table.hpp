@@ -48,7 +48,7 @@ class MatchTable {
     double bytes = 0.0;
     bool rendezvous = false;  // true: RTS only, payload not yet moved
     Request sendOp;  // rendezvous: sender completion; eager: null unless
-                     // analysis capture is on (match provenance)
+                     // an observer (capture, profiler) records matches
     sim::SimTime ready = 0.0;
   };
 

@@ -34,8 +34,7 @@ void AwaitOps::await_suspend(std::coroutine_handle<> h) {
   h_ = h;
   blockStart_ = sim_->engine().now();
   collective_ = std::string_view(ops_.front()->what) == "collective";
-  if (auto* prof = sim_->profiler())
-    prof->onBlockBegin(rank_->id_, blockStart_, collective_);
+  sim_->noteBlock(rank_->id_);
   for (const auto& op : ops_)
     if (!op->complete) op->onComplete(Waiter{&AwaitOps::onOpComplete, this});
 }
@@ -59,10 +58,7 @@ void AwaitOps::onOpComplete(void* self, OpState&) {
 
 RecvInfo AwaitOps::await_resume() const {
   for (const auto& op : ops_) op->waited = true;
-  if (auto* cap = sim_->capture())
-    cap->onWait(rank_->id_, ops_, sim_->engine().now());
-  if (auto* prof = sim_->profiler())
-    prof->onBlockEnd(rank_->id_, ops_, sim_->engine().now());
+  sim_->noteWaitDone(rank_->id_, ops_, ops_.size());
   return ops_.front()->info;
 }
 
@@ -90,8 +86,7 @@ void AwaitAny::await_suspend(std::coroutine_handle<> h) {
   sim_->pendingOpsOf(rank_->id_) = &ops_;
   h_ = h;
   blockStart_ = sim_->engine().now();
-  if (auto* prof = sim_->profiler())
-    prof->onBlockBegin(rank_->id_, blockStart_, /*collective=*/false);
+  sim_->noteBlock(rank_->id_);
   for (const auto& op : ops_)
     op->onComplete(Waiter{&AwaitAny::onOpComplete, this});
 }
@@ -125,10 +120,7 @@ std::size_t AwaitAny::await_resume() {
   // Only the fired request counts as waited (MPI_Waitany semantics); the
   // others stay live and must be waited on again.
   ops_[index_]->waited = true;
-  if (auto* cap = sim_->capture())
-    cap->onWaitOne(rank_->id_, ops_[index_], sim_->engine().now());
-  if (auto* prof = sim_->profiler())
-    prof->onBlockEndAny(rank_->id_, ops_, index_, sim_->engine().now());
+  sim_->noteWaitDone(rank_->id_, ops_, index_);
   return index_;
 }
 
@@ -142,8 +134,7 @@ AwaitCompute::AwaitCompute(Simulation& sim, Rank& rank, double seconds)
 void AwaitCompute::await_suspend(std::coroutine_handle<> h) {
   sim_->blockedOnOf(rank_->id_) = "compute";
   sim_->statsOf(rank_->id_).computeSeconds += seconds_;
-  if (auto* prof = sim_->profiler())
-    prof->onCompute(rank_->id_, sim_->engine().now(), seconds_);
+  sim_->noteCompute(rank_->id_, seconds_);
   sim_->engine().scheduleCallback(sim_->engine().now() + seconds_,
                                   [this, h] {
                                     sim_->blockedOnOf(rank_->id_) = nullptr;

@@ -6,7 +6,6 @@
 #include <string_view>
 #include <unordered_map>
 
-#include "obs/breakdown.hpp"
 #include "support/expect.hpp"
 
 namespace bgp::smpi {
@@ -33,16 +32,8 @@ Simulation::Simulation(arch::MachineConfig machine, std::int64_t nranks,
   }
   if (auto* scope = analysis::CaptureScope::active())
     capture_ = &scope->attach(static_cast<int>(nranks));
-  if (auto* pscope = obs::ProfileScope::active()) {
-    // Profiling implies capture: the critical path and what-if replays
-    // reuse the op-graph's happens-before edges.
-    if (!capture_) {
-      ownedCapture_ = std::make_unique<analysis::Capture>(
-          static_cast<int>(nranks), analysis::CaptureOptions{});
-      capture_ = ownedCapture_.get();
-    }
+  if (auto* pscope = obs::ProfileScope::active())
     profiler_ = &pscope->attach(*this);
-  }
 }
 
 void Simulation::setFaults(const sim::FaultConfig& config) {
@@ -102,7 +93,6 @@ analysis::Capture& Simulation::enableCapture(analysis::CaptureOptions options) {
 
 obs::Profiler& Simulation::enableProfile(obs::ProfileOptions options) {
   BGP_REQUIRE_MSG(!ran_, "enableProfile must be called before run()");
-  if (!capture_) enableCapture();
   ownedProfiler_ = std::make_unique<obs::Profiler>(*this, options);
   profiler_ = ownedProfiler_.get();
   return *profiler_;
@@ -233,17 +223,7 @@ const RankStats& Simulation::rankStats(int worldRank) const {
 }
 
 Simulation::Profile Simulation::profile() const {
-  const obs::StatsSummary s = obs::summarizeStats(stats_.data(), stats_.size());
-  Profile p;
-  p.sends = s.sends;
-  p.collectives = s.collectives;
-  p.bytesSent = s.bytesSent;
-  p.computeSeconds = s.computeSeconds;
-  p.p2pWaitSeconds = s.p2pWaitSeconds;
-  p.collWaitSeconds = s.collWaitSeconds;
-  p.computeImbalance = s.computeImbalance;
-  p.commFraction = s.commFraction;
-  return p;
+  return obs::summarizeStats(stats_.data(), stats_.size());
 }
 
 std::string Simulation::describeOp(const OpState& op) {
@@ -337,6 +317,80 @@ std::string Simulation::deadlockCycleReport() const {
   return {};
 }
 
+Request Simulation::newOp(const char* what, int ownerWorld, int commId) {
+  Request op = makeOpState();
+  op->id = nextOpId_++;
+  op->what = what;
+  op->ownerWorld = ownerWorld;
+  op->commId = commId;
+  return op;
+}
+
+// ---- observer notifications -------------------------------------------------
+
+void Simulation::noteIssue(const Comm& comm, const Request& op, bool isSend) {
+  if (verifier_) verifier_->onP2p(op);
+  if (capture_) capture_->onP2p(comm, *op, isSend, engine_.now());
+  if (profiler_) profiler_->onP2pIssue(comm, *op, isSend, engine_.now());
+}
+
+void Simulation::noteMatch(const Comm& comm, int src, int dst, int tag,
+                           double bytes, const Request& sendOp,
+                           const OpState& recvOp) {
+  if (verifier_)
+    verifier_->onRecvMatched(comm, src, dst, tag, recvOp.expectedBytes,
+                             bytes);
+  if (!sendOp) return;
+  if (capture_) capture_->onMatch(*sendOp, recvOp);
+  if (profiler_) profiler_->onMatch(*sendOp, recvOp);
+}
+
+void Simulation::noteGateArrive(const Comm& comm, std::uint64_t seq,
+                                int commRank, net::CollKind kind, int root,
+                                ReduceOp rop, net::Dtype dt, double bytes,
+                                const OpState& gateOp) {
+  if (verifier_)
+    verifier_->onCollective(comm, seq, commRank, kind, root, rop, dt, bytes);
+  if (capture_)
+    capture_->onCollective(comm, seq, commRank, kind, root, rop, dt, bytes,
+                           engine_.now());
+  if (profiler_)
+    profiler_->onCollArrival(comm, gateOp, kind, bytes, commRank,
+                             engine_.now());
+}
+
+void Simulation::noteGateDone(const Comm& comm, const Comm::CollGate& gate,
+                              int lastRank, double duration,
+                              sim::SimTime done) {
+  if (profiler_)
+    profiler_->onCollComplete(comm, *gate.op, gate.kind, gate.bytes, gate.dt,
+                              comm.worldRank(lastRank), gate.lastArrival,
+                              duration, done);
+}
+
+void Simulation::noteBlock(int worldRank) {
+  if (profiler_) profiler_->onBlockBegin(worldRank, engine_.now());
+}
+
+void Simulation::noteWaitDone(int worldRank, const std::vector<Request>& ops,
+                              std::size_t fired) {
+  const sim::SimTime now = engine_.now();
+  if (capture_) {
+    if (fired < ops.size()) {
+      capture_->onWait(worldRank, {ops[fired]}, now);
+    } else {
+      capture_->onWait(worldRank, ops, now);
+    }
+  }
+  if (profiler_) profiler_->onWaitDone(worldRank, ops, fired, now);
+}
+
+void Simulation::noteCompute(int worldRank, double seconds) {
+  if (profiler_) profiler_->onCompute(worldRank, engine_.now(), seconds);
+}
+
+// ---- point-to-point -----------------------------------------------------------
+
 Request Simulation::startSend(int worldSrc, Comm& comm, int dstCommRank,
                               double bytes, int tag) {
   BGP_REQUIRE(bytes >= 0);
@@ -346,16 +400,11 @@ Request Simulation::startSend(int worldSrc, Comm& comm, int dstCommRank,
   BGP_REQUIRE_MSG(dstCommRank >= 0 && dstCommRank < comm.size(),
                   "destination rank out of range");
   checkAlive(worldSrc);
-  Request op = makeOpState();
-  op->what = "send";
-  op->ownerWorld = worldSrc;
+  Request op = newOp("send", worldSrc, comm.id());
   op->peer = dstCommRank;
   op->tag = tag;
-  op->commId = comm.id();
   op->bytes = bytes;
-  if (verifier_) verifier_->onSend(op);
-  if (capture_) capture_->onSend(comm, op, engine_.now());
-  if (profiler_) profiler_->onP2pIssue(comm, op, /*isSend=*/true, engine_.now());
+  noteIssue(comm, op, /*isSend=*/true);
 
   const int worldDst = comm.worldRank(dstCommRank);
   const topo::NodeId srcNode = system_->nodeOf(worldSrc);
@@ -365,13 +414,14 @@ Request Simulation::startSend(int worldSrc, Comm& comm, int dstCommRank,
     const auto tr = system_->torusNetwork().transfer(srcNode, dstNode, bytes,
                                                      engine_.now());
     engine_.scheduleCallback(tr.injected, [op] { op->finish(); });
-    // Capture-off keeps the captured Request null: the arrival callback
-    // then holds no reference, so the op is freed at injection.
-    Request capOp = capture_ ? op : nullptr;
+    // Unless an observer records matches (capture, profiler), the arrival
+    // callback holds no reference to the send, so the op is freed at
+    // injection.
+    Request matchOp = capture_ || profiler_ ? op : nullptr;
     engine_.scheduleCallback(
         tr.arrival,
-        [this, &comm, srcCommRank, dstCommRank, tag, bytes, capOp] {
-          deliverEager(comm, srcCommRank, dstCommRank, tag, bytes, capOp);
+        [this, &comm, srcCommRank, dstCommRank, tag, bytes, matchOp] {
+          deliverEager(comm, srcCommRank, dstCommRank, tag, bytes, matchOp);
         });
   } else {
     // Rendezvous: a small ready-to-send control message travels first; the
@@ -390,10 +440,7 @@ Request Simulation::startSend(int worldSrc, Comm& comm, int dstCommRank,
 void Simulation::deliverEager(Comm& comm, int src, int dst, int tag,
                               double bytes, Request sendOp) {
   if (Request op = comm.match_.takePostedMatch(dst, src, tag)) {
-    if (verifier_)
-      verifier_->onRecvMatched(comm, src, dst, tag, op->expectedBytes,
-                               bytes);
-    if (capture_ && sendOp) capture_->onMatch(sendOp, op);
+    noteMatch(comm, src, dst, tag, bytes, sendOp, *op);
     op->info = RecvInfo{src, tag, bytes};
     op->finish();
     return;
@@ -406,10 +453,7 @@ void Simulation::deliverEager(Comm& comm, int src, int dst, int tag,
 void Simulation::arriveRts(Comm& comm, int src, int dst, int tag,
                            double bytes, Request sendOp) {
   if (Request recvOp = comm.match_.takePostedMatch(dst, src, tag)) {
-    if (verifier_)
-      verifier_->onRecvMatched(comm, src, dst, tag, recvOp->expectedBytes,
-                               bytes);
-    if (capture_) capture_->onMatch(sendOp, recvOp);
+    noteMatch(comm, src, dst, tag, bytes, sendOp, *recvOp);
     startRendezvousData(comm, src, dst, tag, bytes, sendOp, recvOp);
     return;
   }
@@ -444,24 +488,15 @@ Request Simulation::postRecv(int worldDst, Comm& comm, int srcWanted,
                       (srcWanted >= 0 && srcWanted < comm.size()),
                   "source rank out of range");
   checkAlive(worldDst);
-  Request op = makeOpState();
-  op->what = "recv";
-  op->ownerWorld = worldDst;
+  Request op = newOp("recv", worldDst, comm.id());
   op->peer = srcWanted;
   op->tag = tagWanted;
-  op->commId = comm.id();
   op->expectedBytes = expectedBytes;
-  if (verifier_) verifier_->onRecv(op);
-  if (capture_) capture_->onRecv(comm, op, engine_.now());
-  if (profiler_)
-    profiler_->onP2pIssue(comm, op, /*isSend=*/false, engine_.now());
+  noteIssue(comm, op, /*isSend=*/false);
 
   MatchTable::Staged msg;
   if (comm.match_.takeStagedMatch(dst, srcWanted, tagWanted, msg)) {
-    if (verifier_)
-      verifier_->onRecvMatched(comm, msg.src, dst, msg.tag, expectedBytes,
-                               msg.bytes);
-    if (capture_ && msg.sendOp) capture_->onMatch(msg.sendOp, op);
+    noteMatch(comm, msg.src, dst, msg.tag, msg.bytes, msg.sendOp, *op);
     if (msg.rendezvous) {
       startRendezvousData(comm, msg.src, dst, msg.tag, msg.bytes, msg.sendOp,
                           op);
@@ -482,14 +517,6 @@ Request Simulation::joinCollective(Comm& comm, int commRank,
   checkAlive(comm.worldRank(commRank));
   const std::uint64_t seq =
       comm.nextCollSeq_[static_cast<std::size_t>(commRank)]++;
-  if (verifier_)
-    verifier_->onCollective(comm, seq, commRank, kind, root, rop, dt, bytes);
-  // Before the gate's contract check below: a divergent arrival must land
-  // in the op-graph so the collective-contract pass can localize it even
-  // though the runtime aborts the run.
-  if (capture_)
-    capture_->onCollective(comm, seq, commRank, kind, root, rop, dt, bytes,
-                           engine_.now());
   auto& gate = comm.colls_[seq];
   if (gate.arrived == 0) {
     gate.kind = kind;
@@ -501,24 +528,22 @@ Request Simulation::joinCollective(Comm& comm, int commRank,
     // and the waiter registration order *is* the arrival order, so
     // a single finish() resumes the members in exactly the sequence the
     // seed's per-rank fan-out produced — at the same simulated time.
-    gate.op = makeOpState();
-    gate.op->what = "collective";
-    gate.op->ownerWorld = comm.worldRank(commRank);
-    gate.op->commId = comm.id();
+    gate.op = newOp("collective", comm.worldRank(commRank), comm.id());
     gate.op->collSeq = seq;
-  } else {
-    BGP_REQUIRE_MSG(gate.kind == kind,
-                    "collective mismatch: ranks disagree on operation " +
-                        net::toString(gate.kind) + " vs " +
-                        net::toString(kind));
   }
+  // Before the gate's contract check below: a divergent arrival must land
+  // in the op-graph so the collective-contract pass can localize it even
+  // though the runtime aborts the run.
+  noteGateArrive(comm, seq, commRank, kind, root, rop, dt, bytes, *gate.op);
+  BGP_REQUIRE_MSG(gate.kind == kind,
+                  "collective mismatch: ranks disagree on operation " +
+                      net::toString(gate.kind) + " vs " +
+                      net::toString(kind));
   gate.bytes = std::max(gate.bytes, bytes);
   gate.op->bytes = gate.bytes;
   ++gate.arrived;
   gate.lastArrival = std::max(gate.lastArrival, engine_.now());
   Request op = gate.op;
-  if (profiler_)
-    profiler_->onCollArrival(comm, op, kind, bytes, commRank, engine_.now());
 
   if (gate.arrived == comm.size()) {
     // The BG/P tree/barrier networks only serve the full partition; sub-
@@ -527,9 +552,7 @@ Request Simulation::joinCollective(Comm& comm, int commRank,
         kind, comm.size(), gate.bytes, gate.dt, comm.id() == 0);
     const sim::SimTime done = gate.lastArrival + duration;
     engine_.scheduleCallback(done, [op] { op->finish(); });
-    if (profiler_)
-      profiler_->onCollComplete(comm, op, kind, gate.bytes, gate.dt,
-                                gate.lastArrival, duration, done);
+    noteGateDone(comm, gate, commRank, duration, done);
     comm.colls_.erase(seq);
   }
   return op;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "net/system.hpp"
+#include "obs/breakdown.hpp"
 #include "obs/profiler.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
@@ -56,18 +57,7 @@ class Simulation {
   const RankStats& rankStats(int worldRank) const;
 
   /// Aggregated profile across all ranks.
-  struct Profile {
-    std::uint64_t sends = 0;
-    std::uint64_t collectives = 0;
-    double bytesSent = 0.0;
-    double computeSeconds = 0.0;   // sum over ranks
-    double p2pWaitSeconds = 0.0;
-    double collWaitSeconds = 0.0;
-    /// max/mean of per-rank compute time (1.0 = perfectly balanced).
-    double computeImbalance = 1.0;
-    /// fraction of total rank-time spent blocked on communication.
-    double commFraction = 0.0;
-  };
+  using Profile = obs::StatsSummary;
   Profile profile() const;
 
   double computeTime(const arch::Work& w) const {
@@ -104,11 +94,12 @@ class Simulation {
   analysis::Capture* capture() { return capture_; }
 
   // ---- observability plane ---------------------------------------------------
-  /// Enables profiling for this Simulation (call before run()); implies
-  /// capture (the critical path reuses the op-graph's happens-before
-  /// edges).  Simulations constructed under an obs::ProfileScope are
-  /// profiled automatically without this call.  The profile is assembled
-  /// by run() and read via profiler()->profile().
+  /// Enables profiling for this Simulation (call before run()).  The
+  /// profiler records the happens-before facts its critical path needs
+  /// itself, so profiling does not turn on capture.  Simulations
+  /// constructed under an obs::ProfileScope are profiled automatically
+  /// without this call.  The profile is assembled by run() and read via
+  /// profiler()->profile().
   obs::Profiler& enableProfile(obs::ProfileOptions options = {});
   obs::Profiler* profiler() { return profiler_; }
 
@@ -142,6 +133,33 @@ class Simulation {
   }
 
  private:
+  friend class AwaitOps;
+  friend class AwaitAny;
+  friend class AwaitCompute;
+
+  /// A fresh op carrying the next per-Simulation id.
+  Request newOp(const char* what, int ownerWorld, int commId);
+
+  // ---- observer notifications ---------------------------------------------
+  // One point per event kind; each forwards to whichever of the verifier,
+  // capture and profiler are attached.  None schedules events.
+  void noteIssue(const Comm& comm, const Request& op, bool isSend);
+  /// `sendOp` is null for an eager message unless capture or profiler,
+  /// the observers that record matches, is attached.
+  void noteMatch(const Comm& comm, int src, int dst, int tag, double bytes,
+                 const Request& sendOp, const OpState& recvOp);
+  void noteGateArrive(const Comm& comm, std::uint64_t seq, int commRank,
+                      net::CollKind kind, int root, ReduceOp rop,
+                      net::Dtype dt, double bytes, const OpState& gateOp);
+  void noteGateDone(const Comm& comm, const Comm::CollGate& gate,
+                    int lastRank, double duration, sim::SimTime done);
+  void noteBlock(int worldRank);
+  /// A waitAny returned ops[fired], or (fired == ops.size()) a
+  /// wait/waitAll returned `ops`.
+  void noteWaitDone(int worldRank, const std::vector<Request>& ops,
+                    std::size_t fired);
+  void noteCompute(int worldRank, double seconds);
+
   void deliverEager(Comm& comm, int src, int dst, int tag, double bytes,
                     Request sendOp);
   void arriveRts(Comm& comm, int src, int dst, int tag, double bytes,
@@ -161,6 +179,7 @@ class Simulation {
   std::unique_ptr<Comm> world_;
   std::deque<std::unique_ptr<Comm>> subComms_;
   int nextCommId_ = 1;
+  std::uint64_t nextOpId_ = 0;
   std::vector<Rank> ranks_;  // thin handles; sized once in the constructor
   // SoA per-rank state (see statsOf/blockedOnOf/pendingOpsOf).
   std::vector<RankStats> stats_;

@@ -89,6 +89,11 @@ struct OpState {
   RecvInfo info;
   const char* what = "op";  // for deadlock diagnostics
 
+  /// Per-Simulation creation index (0, 1, 2, ...): the key observers
+  /// record ops under, so none needs to keep an op alive to tell it apart
+  /// from a later one reusing its arena block.
+  std::uint64_t id = 0;
+
   // ---- diagnostics, filled at creation (wait-chain reporter, verifier) ----
   int ownerWorld = -1;          // world rank that created the operation
   int peer = -1;                // comm rank of the counterparty (or wildcard)
@@ -175,6 +180,7 @@ class Request {
 
   OpState* get() const noexcept { return p_; }
   OpState* operator->() const noexcept { return p_; }
+  OpState& operator*() const noexcept { return *p_; }
   explicit operator bool() const noexcept { return p_ != nullptr; }
 
   friend bool operator==(const Request& a, const Request& b) noexcept {

@@ -78,12 +78,7 @@ void Verifier::onCollective(const Comm& comm, std::uint64_t seq, int commRank,
   if (++sig.arrived == comm.size()) gates_.erase(it);
 }
 
-void Verifier::onSend(const Request& op) {
-  ++activity_[op->commId];
-  if (options_.checkLeaks) tracked_.push_back(op);
-}
-
-void Verifier::onRecv(const Request& op) {
+void Verifier::onP2p(const Request& op) {
   ++activity_[op->commId];
   if (options_.checkLeaks) tracked_.push_back(op);
 }

@@ -63,10 +63,9 @@ class Verifier {
   void onCollective(const Comm& comm, std::uint64_t seq, int commRank,
                     net::CollKind kind, int root, ReduceOp rop,
                     net::Dtype dt, double bytes);
-  /// A send/receive was created; the verifier tracks the request for
-  /// finalize-time leak checks.
-  void onSend(const Request& op);
-  void onRecv(const Request& op);
+  /// A send/receive was created; the verifier keeps the request alive
+  /// for finalize-time leak checks, which read each op's final state.
+  void onP2p(const Request& op);
   /// A receive matched a message; checks the declared expectation.
   void onRecvMatched(const Comm& comm, int srcCommRank, int dstCommRank,
                      int tag, double expectedBytes, double actualBytes);

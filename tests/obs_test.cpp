@@ -6,14 +6,17 @@
 
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "arch/machines.hpp"
 #include "obs/breakdown.hpp"
 #include "obs/profiler.hpp"
 #include "obs/report.hpp"
+#include "smpi/analysis/capture.hpp"
 #include "smpi/simulation.hpp"
 #include "smpi/trace.hpp"
+#include "support/arena.hpp"
 
 namespace bgp::obs {
 namespace {
@@ -213,6 +216,74 @@ TEST(Obs, ProfileScopeCapturesConstructedSimulations) {
   const RunProfile& p = scope.profilers()[0]->profile();
   EXPECT_EQ(p.nranks, 4);
   EXPECT_TRUE(selfCheck(p).empty());
+}
+
+// Profiling records its own happens-before facts: it builds no capture,
+// and a capture that runs out of budget under the same Simulation (as a
+// CaptureScope with a one-node budget does) leaves the profile whole.
+TEST(Obs, ProfileIsIndependentOfCapture) {
+  const auto profiledJson = [] {
+    Simulation sim(machineByName("BG/P"), 8);
+    sim.enableProfile();
+    if (!smpi::analysis::CaptureScope::active()) {
+      EXPECT_EQ(sim.capture(), nullptr);
+    }
+    sim.run(haloProgram);
+    std::ostringstream os;
+    writeJson(os, sim.profiler()->profile(), "halo");
+    return os.str();
+  };
+  const std::string alone = profiledJson();
+  std::string underScope;
+  {
+    smpi::analysis::CaptureScope scope(smpi::analysis::CaptureOptions{1});
+    underScope = profiledJson();
+    ASSERT_EQ(scope.captures().size(), 1u);
+    EXPECT_TRUE(scope.captures()[0]->graph().truncated());
+  }
+  EXPECT_NE(alone.find("\"truncated\":false"), std::string::npos);
+  EXPECT_EQ(underScope, alone);
+}
+
+// Each rank sends, then waits for a tag nobody sends: a deadlock.
+sim::Task deadlockProgram(Rank& self) {
+  const int peer = 1 - self.id();
+  co_await self.send(peer, 64.0, /*tag=*/0);
+  co_await self.recv(peer, /*tag=*/1);
+}
+
+// A profiled run that throws never reaches finalize().  The profiler must
+// still hold none of its ops: they belong to the arena of the thread that
+// ran the Simulation, while the process-global scope that owns the
+// profiler dies on another thread.
+TEST(Obs, FailedProfiledRunLeavesEveryArenaBalanced) {
+  support::Arena& mainArena = support::threadArena();
+  const std::uint64_t mainBefore = mainArena.liveBlocks();
+  std::uint64_t workerBefore = 0;
+  std::uint64_t workerAfter = 0;
+  bool deadlocked = false;
+  {
+    ProfileScope scope;
+    std::thread worker([&] {
+      workerBefore = support::threadArena().liveBlocks();
+      {
+        Simulation sim(machineByName("BG/P"), 2);
+        try {
+          sim.run(deadlockProgram);
+        } catch (const DeadlockError&) {
+          deadlocked = true;
+        } catch (...) {  // any other failure leaves `deadlocked` false
+        }
+      }
+      workerAfter = support::threadArena().liveBlocks();
+    });
+    worker.join();
+    ASSERT_EQ(scope.profilers().size(), 1u);
+    EXPECT_FALSE(scope.profilers()[0]->finalized());
+  }
+  EXPECT_TRUE(deadlocked);
+  EXPECT_EQ(workerAfter, workerBefore);
+  EXPECT_EQ(mainArena.liveBlocks(), mainBefore);
 }
 
 }  // namespace
