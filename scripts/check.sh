@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# The one-command gate: default build + full ctest, sanitizer tier-1,
-# source lint, the smpilint paper-scenario sweep, and the bgpprof
-# observability smoke (profile determinism + invariants).  Green here
-# means shippable.
+# The one-command gate: default build + full ctest, sanitizer tier-1 and
+# golden outputs, source lint, the smpilint paper-scenario sweep, and the
+# bgpprof observability smoke (profile determinism + invariants).  Green
+# here means shippable.
 #
 # Usage: scripts/check.sh [--skip-sanitize] [--skip-tsan]
 set -euo pipefail
@@ -28,7 +28,7 @@ cmake --build --preset default -j"$jobs"
 ctest --preset default -j"$jobs"
 
 if [[ $skip_sanitize -eq 0 ]]; then
-  echo "==> [2/6] ASan+UBSan tier-1"
+  echo "==> [2/6] ASan+UBSan tier-1 + golden"
   cmake --preset sanitize >/dev/null
   cmake --build --preset sanitize -j"$jobs"
   ctest --preset sanitize -j"$jobs"
@@ -37,7 +37,7 @@ else
 fi
 
 if [[ $skip_tsan -eq 0 ]]; then
-  echo "==> [3/6] TSan tier-1"
+  echo "==> [3/6] TSan tier-1 + golden"
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j"$jobs"
   ctest --preset tsan -j"$jobs"

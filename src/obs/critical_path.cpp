@@ -105,7 +105,7 @@ void Profiler::computeCriticalPath(const smpi::RunResult& result) {
     }
 
     if (self->kind == OpRec::Kind::Gate) {
-      const GateRec& g = gates_[self->gate];
+      const GateRec& g = gates_[self->gate()];
       if (g.done < 0 || g.lastArrival >= t) {
         emit(rank, item->begin, t, PathKind::Unattributed, "collective");
         t = item->begin;
@@ -146,7 +146,7 @@ void Profiler::computeCriticalPath(const smpi::RunResult& result) {
       sendIssue = self->issue;
       sendWorld = self->world;
       bytes = self->bytes;
-      recvWorld = self->peerWorld;
+      recvWorld = self->peerOrGate;
       recvPost = sendIssue;
     } else {
       emit(rank, item->begin, t, PathKind::Unattributed, "recv (unmatched)");
@@ -235,37 +235,6 @@ double Profiler::replay(bool zeroNetwork, bool zeroCompute) const {
   const double eagerThresh = sim_->system().eagerThreshold();
   const int n = profile_.nranks;
 
-  // Per-p2p-op replay spec (by op id): the ops whose (replayed) issue
-  // times gate it, and the measured cause->completion span.
-  struct P2pSpec {
-    std::uint64_t sendOp = kNoOp;  // kNoOp: no spec (cannot replay)
-    std::uint64_t recvOp = kNoOp;  // kNoOp: unmatched (eager fire-and-forget)
-    bool eager = true;
-    double span = 0.0;
-  };
-  std::vector<P2pSpec> p2p(ops_.size());
-  for (std::uint64_t id = 0; id < ops_.size(); ++id) {
-    const OpRec& self = ops_[id];
-    if (self.kind != OpRec::Kind::Send && self.kind != OpRec::Kind::Recv)
-      continue;
-    if (self.completion < 0) continue;  // never completed: never waited
-    P2pSpec s;
-    if (self.kind == OpRec::Kind::Send) {
-      s.sendOp = id;
-      s.recvOp = self.partner;
-    } else {
-      s.recvOp = id;
-      s.sendOp = self.partner;
-    }
-    if (s.sendOp == kNoOp) continue;  // unmatched recv: cannot replay
-    const OpRec& snd = ops_[s.sendOp];
-    s.eager = snd.bytes <= eagerThresh || s.recvOp == kNoOp;
-    const double cause =
-        s.eager ? snd.issue : std::max(snd.issue, ops_[s.recvOp].issue);
-    s.span = std::max(0.0, self.completion - cause);
-    p2p[id] = s;
-  }
-
   struct GateReplay {
     int expected = 0;
     double duration = -1.0;  // < 0: the gate never completed
@@ -277,35 +246,50 @@ double Profiler::replay(bool zeroNetwork, bool zeroCompute) const {
   for (std::size_t i = 0; i < gates_.size(); ++i)
     gatesR[i] = GateReplay{gates_[i].nranks, gates_[i].duration, 0, 0.0, -1.0};
   // The replay state of a completed gate op, or null.
-  const auto gateOf = [&](std::uint64_t op) -> GateReplay* {
+  const auto gateOf = [&](OpId op) -> GateReplay* {
     const OpRec* r = rec(op);
     if (!r || r->kind != OpRec::Kind::Gate) return nullptr;
-    GateReplay& g = gatesR[r->gate];
+    GateReplay& g = gatesR[r->gate()];
     return g.duration < 0 ? nullptr : &g;
   };
 
   // Replayed issue time per op id (p2p issues only), -1 = not yet.
   std::vector<double> newIssue(ops_.size(), -1.0);
 
-  const auto completionOf = [&](std::uint64_t op, double& out) {
-    if (const GateReplay* g = gateOf(op)) {
-      if (g->done < 0) return false;
+  // A p2p op completes a measured span after its cause: the send's issue
+  // (eager, or unmatched fire-and-forget), else the later of the send's
+  // and the receive's issue (rendezvous).  The replay keeps the span and
+  // moves the cause to the replayed issue times.
+  const auto completionOf = [&](OpId op, double& out) {
+    const OpRec* self = rec(op);
+    if (!self) return false;
+    if (self->kind == OpRec::Kind::Gate) {
+      const GateReplay* g = gateOf(op);
+      if (!g || g->done < 0) return false;
       out = g->done;
       return true;
     }
-    if (op >= p2p.size() || p2p[op].sendOp == kNoOp) return false;
-    const P2pSpec& s = p2p[op];
-    double cause;
-    if (s.eager) {
-      if (newIssue[s.sendOp] < 0) return false;
-      cause = newIssue[s.sendOp];
+    if (self->completion < 0) return false;  // never completed: never waited
+    const bool isSend = self->kind == OpRec::Kind::Send;
+    const OpId sendOp = isSend ? op : self->partner;
+    if (sendOp == kNoOp) return false;  // unmatched recv: cannot replay
+    const OpId recvOp = isSend ? self->partner : op;
+    const OpRec& snd = ops_[sendOp];
+    const bool eager = snd.bytes <= eagerThresh || recvOp == kNoOp;
+    const double cause =
+        eager ? snd.issue : std::max(snd.issue, ops_[recvOp].issue);
+    const double span = std::max(0.0, self->completion - cause);
+    double replayedCause;
+    if (eager) {
+      if (newIssue[sendOp] < 0) return false;
+      replayedCause = newIssue[sendOp];
     } else {
-      const double si = newIssue[s.sendOp];
-      const double ri = newIssue[s.recvOp];
+      const double si = newIssue[sendOp];
+      const double ri = newIssue[recvOp];
       if (si < 0 || ri < 0) return false;
-      cause = std::max(si, ri);
+      replayedCause = std::max(si, ri);
     }
-    out = cause + (zeroNetwork ? 0.0 : s.span);
+    out = replayedCause + (zeroNetwork ? 0.0 : span);
     return true;
   };
 

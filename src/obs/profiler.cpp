@@ -45,7 +45,10 @@ Profiler::Profiler(smpi::Simulation& sim, ProfileOptions options)
   waitOps_.resize(n);
   open_.assign(n, OpenBlock{});
   overlap_.assign(n, 0.0);
-  sites_.assign(n, std::string());
+  siteNames_.emplace_back();
+  siteIndex_.emplace(std::string(), 0);
+  siteOf_.assign(n, 0);
+  siteAggs_.resize(kOpSlots);
   hist_.assign(std::max<std::size_t>(options_.histBins, 2), 0.0);
   histBinSeconds_ = 1e-6;
   sim.system().torusNetwork().attachObserver(this);
@@ -53,19 +56,26 @@ Profiler::Profiler(smpi::Simulation& sim, ProfileOptions options)
 
 Profiler::~Profiler() = default;
 
-const char* Profiler::opName(const smpi::OpState& op) const {
+std::uint32_t Profiler::opSlot(const smpi::OpState& op) const {
   const OpRec* r = rec(op.id);
-  if (r && r->kind == OpRec::Kind::Gate) return collName(gates_[r->gate].kind);
-  return op.what;  // "send" / "recv" / "collective"
+  if (r && r->kind == OpRec::Kind::Gate)
+    return collSlot(gates_[r->gate()].kind);
+  return whatSlot(op.what);  // "send" / "recv" / "collective"
 }
 
-Profiler::OpRec& Profiler::addRec(std::uint64_t id) {
+std::uint32_t Profiler::whatSlot(std::string_view what) {
+  return what == "send" ? kSendSlot
+         : what == "recv" ? kRecvSlot
+                          : kCollectiveSlot;
+}
+
+Profiler::OpRec* Profiler::addRec(std::uint64_t id) {
+  if (id >= kNoOp) {
+    truncated_ = true;
+    return nullptr;
+  }
   if (id >= ops_.size()) ops_.resize(id + 1);
-  return ops_[id];
-}
-
-Profiler::SiteAgg& Profiler::siteAgg(int rank, const char* op) {
-  return siteAggs_[{siteOf(rank), std::string(op)}];
+  return &ops_[id];
 }
 
 void Profiler::checkBudget() {
@@ -95,33 +105,30 @@ void Profiler::histAdd(sim::SimTime t, double bytes) {
 
 // ---- runtime hooks ----------------------------------------------------------
 
-void Profiler::onP2pIssue(const smpi::Comm& comm, smpi::OpState& op,
+void Profiler::onP2pIssue(const smpi::Comm& comm, const smpi::OpState& op,
                           bool isSend, sim::SimTime now) {
   const int rank = op.ownerWorld;
-  SiteAgg& agg = siteAgg(rank, isSend ? "send" : "recv");
+  SiteAgg& agg = siteAgg(rank, isSend ? kSendSlot : kRecvSlot);
   ++agg.count;
   agg.bytes += op.bytes;
   if (!detailed()) return;
-  OpRec& r = addRec(op.id);
-  r.issue = now;
-  r.bytes = op.bytes;
-  r.world = rank;
-  r.kind = isSend ? OpRec::Kind::Send : OpRec::Kind::Recv;
-  if (isSend) r.peerWorld = comm.worldRank(op.peer);
+  OpRec* r = addRec(op.id);
+  if (!r) return;
+  r->issue = now;
+  r->bytes = op.bytes;
+  r->world = rank;
+  r->kind = isSend ? OpRec::Kind::Send : OpRec::Kind::Recv;
+  if (isSend) r->peerOrGate = comm.worldRank(op.peer);
   items_[static_cast<std::size_t>(rank)].push_back(
-      Item{Item::Kind::Issue, now, now, op.id, 0, 0, false});
+      Item{now, now, static_cast<OpId>(op.id), 0, 0, Item::Kind::Issue,
+           false});
   ++itemCount_;
-  // Completion stamp: registered at issue, so it takes the OpState's
-  // inline waiter slot and fires first (a profile-on-only cost; the
-  // awaiter's waiter spills to the vector).
-  op.onComplete(smpi::Waiter{&Profiler::stampCompletion, this});
   checkBudget();
 }
 
-void Profiler::stampCompletion(void* self, smpi::OpState& op) {
-  auto& prof = *static_cast<Profiler*>(self);
-  OpRec* r = prof.rec(op.id);
-  if (r && r->completion < 0) r->completion = prof.sim_->engine().now();
+void Profiler::onComplete(const smpi::OpState& op, sim::SimTime now) {
+  OpRec* r = rec(op.id);
+  if (r && r->completion < 0) r->completion = now;
 }
 
 void Profiler::onMatch(const smpi::OpState& sendOp,
@@ -129,25 +136,26 @@ void Profiler::onMatch(const smpi::OpState& sendOp,
   OpRec* s = rec(sendOp.id);
   OpRec* r = rec(recvOp.id);
   if (!s || !r) return;  // one side issued after the budget hit
-  s->partner = recvOp.id;
-  r->partner = sendOp.id;
+  s->partner = static_cast<OpId>(recvOp.id);
+  r->partner = static_cast<OpId>(sendOp.id);
 }
 
 void Profiler::onCollArrival(const smpi::Comm& comm, const smpi::OpState& op,
                              net::CollKind kind, double bytes, int commRank,
                              sim::SimTime now) {
   const int rank = comm.worldRank(commRank);
-  SiteAgg& agg = siteAgg(rank, collName(kind));
+  SiteAgg& agg = siteAgg(rank, collSlot(kind));
   ++agg.count;
   agg.bytes += bytes;
   if (!detailed()) return;
   if (!recorded(op.id)) {  // the gate's first arrival
-    OpRec& r = addRec(op.id);
-    r.issue = now;
-    r.bytes = bytes;
-    r.world = rank;
-    r.kind = OpRec::Kind::Gate;
-    r.gate = static_cast<std::uint32_t>(gates_.size());
+    OpRec* r = addRec(op.id);
+    if (!r) return;
+    r->issue = now;
+    r->bytes = bytes;
+    r->world = rank;
+    r->kind = OpRec::Kind::Gate;
+    r->peerOrGate = static_cast<std::int32_t>(gates_.size());
     GateRec g;
     g.nranks = comm.size();
     g.fullPartition = comm.id() == 0;
@@ -155,7 +163,8 @@ void Profiler::onCollArrival(const smpi::Comm& comm, const smpi::OpState& op,
     gates_.push_back(g);
   }
   items_[static_cast<std::size_t>(rank)].push_back(
-      Item{Item::Kind::Issue, now, now, op.id, 0, 0, false});
+      Item{now, now, static_cast<OpId>(op.id), 0, 0, Item::Kind::Issue,
+           false});
   ++itemCount_;
   checkBudget();
 }
@@ -180,7 +189,7 @@ void Profiler::onCollComplete(const smpi::Comm& comm, const smpi::OpState& op,
   if (!detailed()) return;
   OpRec* r = rec(op.id);
   if (!r) return;
-  GateRec& g = gates_[r->gate];
+  GateRec& g = gates_[r->gate()];
   g.dt = dt;
   g.bytes = bytes;
   g.lastWorld = lastWorld;
@@ -193,7 +202,7 @@ void Profiler::onCollComplete(const smpi::Comm& comm, const smpi::OpState& op,
 void Profiler::onCompute(int rank, sim::SimTime now, double seconds) {
   if (!detailed()) return;
   items_[static_cast<std::size_t>(rank)].push_back(
-      Item{Item::Kind::Compute, now, now + seconds, kNoOp, 0, 0, false});
+      Item{now, now + seconds, kNoOp, 0, 0, Item::Kind::Compute, false});
   ++itemCount_;
   checkBudget();
 }
@@ -237,12 +246,9 @@ void Profiler::onWaitDone(int rank, const std::vector<smpi::Request>& ops,
   }
 
   const double dur = now - begin;
-  if (dur > 0) {
-    const char* name = release    ? opName(*release)
-                       : !ops.empty() ? ops.front()->what
-                                      : "op";
-    siteAgg(rank, name).blockedSeconds += dur;
-  }
+  if (dur > 0)
+    siteAgg(rank, release ? opSlot(*release) : whatSlot(ops.front()->what))
+        .blockedSeconds += dur;
 
   if (!detailed()) return;
   auto& wl = waitOps_[static_cast<std::size_t>(rank)];
@@ -250,11 +256,11 @@ void Profiler::onWaitDone(int rank, const std::vector<smpi::Request>& ops,
   item.kind = Item::Kind::Block;
   item.begin = begin;
   item.end = now;
-  item.op = release ? release->id : kNoOp;
+  item.op = release ? static_cast<OpId>(release->id) : kNoOp;
   item.firstWait = static_cast<std::uint32_t>(wl.size());
   item.waitCount = static_cast<std::uint32_t>(ops.size());
   item.any = any;
-  for (const auto& op : ops) wl.push_back(op->id);
+  for (const auto& op : ops) wl.push_back(static_cast<OpId>(op->id));
   items_[static_cast<std::size_t>(rank)].push_back(item);
   itemCount_ += 1 + ops.size();
   checkBudget();
@@ -290,9 +296,16 @@ void Profiler::onShmTransfer(double bytes, sim::SimTime start) {
 // ---- labels -----------------------------------------------------------------
 
 std::string Profiler::setSite(int rank, std::string label) {
-  std::string& cur = sites_[static_cast<std::size_t>(rank)];
-  std::swap(cur, label);
-  return label;
+  std::uint32_t& cur = siteOf_[static_cast<std::size_t>(rank)];
+  std::string prev = siteNames_[cur];
+  const auto [it, added] = siteIndex_.try_emplace(
+      std::move(label), static_cast<std::uint32_t>(siteNames_.size()));
+  if (added) {
+    siteNames_.push_back(it->first);
+    siteAggs_.resize(siteAggs_.size() + kOpSlots);
+  }
+  cur = it->second;
+  return prev;
 }
 
 // ---- finalize ---------------------------------------------------------------
@@ -337,11 +350,19 @@ void Profiler::finalize(const smpi::RunResult& result) {
   p.commFraction = sum.commFraction;
 
   // Sites, hottest first (deterministic tie-break on the key).
-  p.sites.reserve(siteAggs_.size());
-  for (const auto& [key, agg] : siteAggs_)
-    p.sites.push_back(
-        SiteStats{key.first, key.second, agg.count, agg.bytes,
-                  agg.blockedSeconds});
+  for (std::size_t i = 0; i < siteAggs_.size(); ++i) {
+    const SiteAgg& agg = siteAggs_[i];
+    if (!agg.used) continue;
+    const auto slot = static_cast<std::uint32_t>(i % kOpSlots);
+    const char* op =
+        slot == kSendSlot         ? "send"
+        : slot == kRecvSlot       ? "recv"
+        : slot == kCollectiveSlot ? "collective"
+                                  : collName(static_cast<net::CollKind>(
+                                        slot - kFirstCollSlot));
+    p.sites.push_back(SiteStats{siteNames_[i / kOpSlots], op, agg.count,
+                                agg.bytes, agg.blockedSeconds});
+  }
   std::sort(p.sites.begin(), p.sites.end(),
             [](const SiteStats& a, const SiteStats& b) {
               if (a.blockedSeconds != b.blockedSeconds)
@@ -431,7 +452,9 @@ void Profiler::finalize(const smpi::RunResult& result) {
   waitOps_.clear();
   open_.clear();
   overlap_.clear();
-  sites_.clear();
+  siteNames_.clear();
+  siteIndex_.clear();
+  siteOf_.clear();
   siteAggs_.clear();
   collAggs_.clear();
   linkBytes_.clear();

@@ -18,13 +18,16 @@
 // its critical-path walk and what-if replays read (each send's matched
 // receive and destination rank, each gate's last-arriving rank) itself,
 // keyed by the per-Simulation op id, so it keeps no op alive and needs
-// no analysis capture.
+// no analysis capture.  It registers no completion waiter either:
+// Simulation reports each send/receive completion through onComplete, so
+// an op's awaiter keeps the OpState's inline waiter slot.
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/collective_model.hpp"
@@ -66,8 +69,10 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   Profiler& operator=(const Profiler&) = delete;
 
   // ---- runtime hooks (called by Simulation/Rank when enabled) ----------
-  void onP2pIssue(const smpi::Comm& comm, smpi::OpState& op, bool isSend,
-                  sim::SimTime now);
+  void onP2pIssue(const smpi::Comm& comm, const smpi::OpState& op,
+                  bool isSend, sim::SimTime now);
+  /// A send/receive completed at `now`.
+  void onComplete(const smpi::OpState& op, sim::SimTime now);
   /// A send was matched to a receive.
   void onMatch(const smpi::OpState& sendOp, const smpi::OpState& recvOp);
   void onCollArrival(const smpi::Comm& comm, const smpi::OpState& op,
@@ -108,37 +113,43 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   const ProfileOptions& options() const { return options_; }
 
  private:
+  /// Op ids as the detailed records store them.  Ids past the 32-bit
+  /// range end detailed recording like the maxOps budget does.
+  using OpId = std::uint32_t;
   /// "No op" in an op-id field.
-  static constexpr std::uint64_t kNoOp = ~std::uint64_t{0};
+  static constexpr OpId kNoOp = ~OpId{0};
 
   // One recorded timeline item.  Per rank, items append in program order
   // (a rank is sequential), which the critical-path walk and the what-if
   // replay both rely on.
   struct Item {
     enum class Kind : std::uint8_t { Compute, Block, Issue };
-    Kind kind = Kind::Issue;
     sim::SimTime begin = 0.0;
     sim::SimTime end = 0.0;        // Compute/Block only
-    std::uint64_t op = kNoOp;      // Issue: the op; Block: releaser
+    OpId op = kNoOp;               // Issue: the op; Block: releaser
     std::uint32_t firstWait = 0;   // Block: slice into waitOps_
     std::uint32_t waitCount = 0;
+    Kind kind = Kind::Issue;
     bool any = false;              // Block came from a waitAny
   };
+  static_assert(sizeof(Item) <= 32);
 
   /// One op, indexed by its id in ops_.
   struct OpRec {
     sim::SimTime issue = 0.0;
     sim::SimTime completion = -1.0;  // < 0: never completed / still open
     double bytes = 0.0;
-    std::uint64_t partner = kNoOp;  // p2p: the matched op, if recorded
-    int world = -1;                 // issuing world rank
-    int peerWorld = -1;             // Send: destination world rank
-    std::uint32_t gate = 0;         // Gate: index into gates_
+    OpId partner = kNoOp;  // p2p: the matched op, if recorded
+    int world = -1;        // issuing world rank
+    /// Send: destination world rank; Gate: index into gates_.
+    std::int32_t peerOrGate = -1;
     // None: an id the profiler did not record (budget hit first).
     enum class Kind : std::uint8_t { None, Send, Recv, Gate } kind =
         Kind::None;
     bool overlapCounted = false;
+    std::size_t gate() const { return static_cast<std::size_t>(peerOrGate); }
   };
+  static_assert(sizeof(OpRec) <= 40);
 
   struct GateRec {
     int nranks = 0;
@@ -156,7 +167,15 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
     std::uint64_t count = 0;
     double bytes = 0.0;
     double blockedSeconds = 0.0;
+    bool used = false;
   };
+  /// The op half of a (site, op) aggregation key: send, recv, an
+  /// unresolved "collective", then one slot per net::CollKind.
+  enum OpSlot : std::uint32_t { kSendSlot, kRecvSlot, kCollectiveSlot,
+                                kFirstCollSlot };
+  static constexpr std::uint32_t kOpSlots =
+      kFirstCollSlot + static_cast<std::uint32_t>(net::CollKind::Alltoallv) +
+      1;
 
   struct CollAgg {
     std::uint64_t gates = 0;
@@ -177,21 +196,28 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   const OpRec* rec(std::uint64_t id) const {
     return recorded(id) ? &ops_[id] : nullptr;
   }
-  /// Adds the record of op `id` (ids arrive in creation order).
-  OpRec& addRec(std::uint64_t id);
+  /// Adds the record of op `id` (ids arrive in creation order), or ends
+  /// detailed recording and returns null when `id` does not fit an OpId.
+  OpRec* addRec(std::uint64_t id);
   void checkBudget();
-  const std::string& siteOf(int rank) const {
-    return sites_[static_cast<std::size_t>(rank)];
+  /// `rank`'s aggregate for its current site label and op `slot`.
+  SiteAgg& siteAgg(int rank, std::uint32_t slot) {
+    SiteAgg& agg = siteAggs_[siteOf_[static_cast<std::size_t>(rank)] *
+                                 kOpSlots +
+                             slot];
+    agg.used = true;
+    return agg;
   }
-  SiteAgg& siteAgg(int rank, const char* op);
+  static std::uint32_t collSlot(net::CollKind kind) {
+    return kFirstCollSlot + static_cast<std::uint32_t>(kind);
+  }
+  /// The aggregation slot of a waited op (a recorded gate's kind, else
+  /// its OpState::what), and of an OpState::what alone.
+  std::uint32_t opSlot(const smpi::OpState& op) const;
+  static std::uint32_t whatSlot(std::string_view what);
   void histAdd(sim::SimTime t, double bytes);
-  const char* opName(const smpi::OpState& op) const;
   /// Stable lowercase collective-kind name ("allreduce", ...).
   static const char* collName(net::CollKind kind);
-
-  /// Completion waiter registered at p2p issue: stamps the op's
-  /// completion time.
-  static void stampCompletion(void* self, smpi::OpState& op);
 
   // ---- finalize stages (critical_path.cpp) -----------------------------
   void computeCriticalPath(const smpi::RunResult& result);
@@ -207,9 +233,9 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   bool finalized_ = false;
 
   std::vector<OpRec> ops_;      // by op id
-  std::vector<GateRec> gates_;  // by OpRec::gate
-  std::vector<std::vector<Item>> items_;                // per rank
-  std::vector<std::vector<std::uint64_t>> waitOps_;     // per rank, op ids
+  std::vector<GateRec> gates_;  // by OpRec::gate()
+  std::vector<std::vector<Item>> items_;    // per rank
+  std::vector<std::vector<OpId>> waitOps_;  // per rank
   std::size_t itemCount_ = 0;
 
   struct OpenBlock {
@@ -218,8 +244,12 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   };
   std::vector<OpenBlock> open_;       // per rank
   std::vector<double> overlap_;       // per rank, seconds
-  std::vector<std::string> sites_;    // per rank current label
-  std::map<std::pair<std::string, std::string>, SiteAgg> siteAggs_;
+  // Site labels are interned once per label change; each rank holds its
+  // current label's index, so aggregating an op builds no string key.
+  std::vector<std::string> siteNames_;  // by site index; [0] = ""
+  std::map<std::string, std::uint32_t> siteIndex_;
+  std::vector<std::uint32_t> siteOf_;   // per rank current site index
+  std::vector<SiteAgg> siteAggs_;       // [site * kOpSlots + slot]
   std::map<net::CollKind, CollAgg> collAggs_;
 
   // Link counters, sized lazily from the torus on first claim.

@@ -234,7 +234,8 @@ std::vector<MatchTable::StagedLeak> MatchTable::stagedLeaks() const {
   for (std::size_t d = 0; d < dstHead_.size(); ++d) {
     for (std::uint32_t i = dstHead_[d]; i != kNil; i = staged_[i].dstNext) {
       const Staged& m = staged_[i].msg;
-      out.push_back(StagedLeak{static_cast<int>(d), m.src, m.tag, m.bytes});
+      out.push_back(StagedLeak{static_cast<int>(d), m.src, m.tag, m.bytes,
+                               m.rendezvous ? m.sendOp->id : kNoOp});
     }
   }
   return out;
@@ -247,7 +248,7 @@ std::vector<MatchTable::PostedLeak> MatchTable::postedLeaks() const {
   std::vector<std::pair<std::uint64_t, PostedLeak>> live;
   for (const PostedNode& n : posted_) {
     if (!n.live) continue;
-    live.push_back({n.seq, PostedLeak{n.dst, n.src, n.tag}});
+    live.push_back({n.seq, PostedLeak{n.dst, n.src, n.tag, n.op->id}});
   }
   std::sort(live.begin(), live.end(),
             [](const auto& a, const auto& b) {

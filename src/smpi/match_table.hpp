@@ -69,13 +69,19 @@ class MatchTable {
   // ---- finalize-time enumeration (verifier leak scans) ---------------------
   // Both run in one pass over the pools and return entries grouped by dst
   // (ascending) in FIFO order within each dst — the order the seed's
-  // per-dst deque scan produced.
+  // per-dst deque scan produced.  `op` is the id of the op still queued
+  // in the entry, which has therefore not completed: the posted receive,
+  // or a rendezvous send awaiting its receiver.  An eager message's send
+  // completed at injection, so its entry carries kNoOp.
+  static constexpr std::uint64_t kNoOp = ~std::uint64_t{0};
   struct StagedLeak {
     int dst, src, tag;
     double bytes;
+    std::uint64_t op;
   };
   struct PostedLeak {
     int dst, src, tag;
+    std::uint64_t op;
   };
   std::vector<StagedLeak> stagedLeaks() const;
   std::vector<PostedLeak> postedLeaks() const;

@@ -57,7 +57,6 @@ void AwaitOps::onOpComplete(void* self, OpState&) {
 }
 
 RecvInfo AwaitOps::await_resume() const {
-  for (const auto& op : ops_) op->waited = true;
   sim_->noteWaitDone(rank_->id_, ops_, ops_.size());
   return ops_.front()->info;
 }
@@ -119,7 +118,6 @@ std::size_t AwaitAny::await_resume() {
   }
   // Only the fired request counts as waited (MPI_Waitany semantics); the
   // others stay live and must be waited on again.
-  ops_[index_]->waited = true;
   sim_->noteWaitDone(rank_->id_, ops_, index_);
   return index_;
 }

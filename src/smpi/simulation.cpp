@@ -329,7 +329,7 @@ Request Simulation::newOp(const char* what, int ownerWorld, int commId) {
 // ---- observer notifications -------------------------------------------------
 
 void Simulation::noteIssue(const Comm& comm, const Request& op, bool isSend) {
-  if (verifier_) verifier_->onP2p(op);
+  if (verifier_) verifier_->onP2p(*op, isSend);
   if (capture_) capture_->onP2p(comm, *op, isSend, engine_.now());
   if (profiler_) profiler_->onP2pIssue(comm, *op, isSend, engine_.now());
 }
@@ -375,6 +375,7 @@ void Simulation::noteBlock(int worldRank) {
 void Simulation::noteWaitDone(int worldRank, const std::vector<Request>& ops,
                               std::size_t fired) {
   const sim::SimTime now = engine_.now();
+  if (verifier_) verifier_->onWaitDone(ops, fired);
   if (capture_) {
     if (fired < ops.size()) {
       capture_->onWait(worldRank, {ops[fired]}, now);
@@ -387,6 +388,10 @@ void Simulation::noteWaitDone(int worldRank, const std::vector<Request>& ops,
 
 void Simulation::noteCompute(int worldRank, double seconds) {
   if (profiler_) profiler_->onCompute(worldRank, engine_.now(), seconds);
+}
+
+void Simulation::noteComplete(const OpState& op) {
+  if (profiler_) profiler_->onComplete(op, engine_.now());
 }
 
 // ---- point-to-point -----------------------------------------------------------
@@ -413,7 +418,10 @@ Request Simulation::startSend(int worldSrc, Comm& comm, int dstCommRank,
   if (bytes <= system_->eagerThreshold()) {
     const auto tr = system_->torusNetwork().transfer(srcNode, dstNode, bytes,
                                                      engine_.now());
-    engine_.scheduleCallback(tr.injected, [op] { op->finish(); });
+    engine_.scheduleCallback(tr.injected, [this, op] {
+      noteComplete(*op);
+      op->finish();
+    });
     // Unless an observer records matches (capture, profiler), the arrival
     // callback holds no reference to the send, so the op is freed at
     // injection.
@@ -442,6 +450,7 @@ void Simulation::deliverEager(Comm& comm, int src, int dst, int tag,
   if (Request op = comm.match_.takePostedMatch(dst, src, tag)) {
     noteMatch(comm, src, dst, tag, bytes, sendOp, *op);
     op->info = RecvInfo{src, tag, bytes};
+    noteComplete(*op);
     op->finish();
     return;
   }
@@ -473,9 +482,13 @@ void Simulation::startRendezvousData(Comm& comm, int src, int dst, int tag,
   const sim::SimTime dataStart = engine_.now() + ctsLat;
   const auto tr =
       system_->torusNetwork().transfer(srcNode, dstNode, bytes, dataStart);
-  engine_.scheduleCallback(tr.injected, [sendOp] { sendOp->finish(); });
-  engine_.scheduleCallback(tr.arrival, [recvOp, src, tag, bytes] {
+  engine_.scheduleCallback(tr.injected, [this, sendOp] {
+    noteComplete(*sendOp);
+    sendOp->finish();
+  });
+  engine_.scheduleCallback(tr.arrival, [this, recvOp, src, tag, bytes] {
     recvOp->info = RecvInfo{src, tag, bytes};
+    noteComplete(*recvOp);
     recvOp->finish();
   });
 }
@@ -502,6 +515,7 @@ Request Simulation::postRecv(int worldDst, Comm& comm, int srcWanted,
                           op);
     } else {
       op->info = RecvInfo{msg.src, msg.tag, msg.bytes};
+      noteComplete(*op);
       op->finish();
     }
     return op;

@@ -159,6 +159,8 @@ class Simulation {
   void noteWaitDone(int worldRank, const std::vector<Request>& ops,
                     std::size_t fired);
   void noteCompute(int worldRank, double seconds);
+  /// A send/receive is about to finish() (gates report via noteGateDone).
+  void noteComplete(const OpState& op);
 
   void deliverEager(Comm& comm, int src, int dst, int tag, double bytes,
                     Request sendOp);

@@ -53,8 +53,9 @@ struct OpState;
 
 /// A completion waiter: two words, no captures.  `fire(ctx, op)` runs when
 /// `op` completes; `ctx` is the registrant itself (an awaiter living in
-/// the suspended coroutine frame, or the profiler), so a waiter owns no
-/// storage and needs no destructor.
+/// the suspended coroutine frame), so a waiter owns no storage and needs
+/// no destructor.  Observers do not register waiters: Simulation notifies
+/// them of completions directly.
 struct Waiter {
   void (*fire)(void* ctx, OpState& op) = nullptr;
   void* ctx = nullptr;
@@ -85,7 +86,6 @@ struct OpState {
 
  public:
   bool complete = false;
-  bool waited = false;  // a wait/waitAll/waitAny consumed this request
   RecvInfo info;
   const char* what = "op";  // for deadlock diagnostics
 

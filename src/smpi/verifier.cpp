@@ -1,7 +1,9 @@
 #include "smpi/verifier.hpp"
 
+#include <algorithm>
 #include <ostream>
 #include <sstream>
+#include <tuple>
 
 #include "smpi/comm.hpp"
 #include "support/expect.hpp"
@@ -78,9 +80,57 @@ void Verifier::onCollective(const Comm& comm, std::uint64_t seq, int commRank,
   if (++sig.arrived == comm.size()) gates_.erase(it);
 }
 
-void Verifier::onP2p(const Request& op) {
-  ++activity_[op->commId];
-  if (options_.checkLeaks) tracked_.push_back(op);
+void Verifier::onP2p(const OpState& op, bool isSend) {
+  ++activity_[op.commId];
+  if (!options_.checkLeaks) return;
+  std::uint32_t idx = freeReq_;
+  if (idx != kNil) {
+    freeReq_ = reqs_[idx].next;
+  } else {
+    idx = static_cast<std::uint32_t>(reqs_.size());
+    reqs_.emplace_back();
+  }
+  reqs_[idx] = OpenReq{op.id, op.peer, op.tag,
+                       static_cast<std::uint32_t>(op.commId), isSend, kNil};
+  const auto owner = static_cast<std::size_t>(op.ownerWorld);
+  if (owner >= owners_.size()) owners_.resize(owner + 1);
+  OwnerList& list = owners_[owner];
+  if (list.tail == kNil) {
+    list.head = idx;
+  } else {
+    reqs_[list.tail].next = idx;
+  }
+  list.tail = idx;
+}
+
+void Verifier::closeReq(const OpState& op) {
+  const auto owner = static_cast<std::size_t>(op.ownerWorld);
+  if (owner >= owners_.size()) return;
+  OwnerList& list = owners_[owner];
+  for (std::uint32_t prev = kNil, i = list.head; i != kNil;
+       prev = i, i = reqs_[i].next) {
+    if (reqs_[i].id != op.id) continue;
+    const std::uint32_t next = reqs_[i].next;
+    if (prev == kNil) {
+      list.head = next;
+    } else {
+      reqs_[prev].next = next;
+    }
+    if (list.tail == i) list.tail = prev;
+    reqs_[i].next = freeReq_;
+    freeReq_ = i;
+    return;
+  }
+}
+
+void Verifier::onWaitDone(const std::vector<Request>& ops,
+                          std::size_t fired) {
+  if (!options_.checkLeaks) return;
+  if (fired < ops.size()) {
+    closeReq(*ops[fired]);
+  } else {
+    for (const Request& op : ops) closeReq(*op);
+  }
 }
 
 void Verifier::onRecvMatched(const Comm& comm, int srcCommRank,
@@ -99,6 +149,9 @@ void Verifier::onRecvMatched(const Comm& comm, int srcCommRank,
 void Verifier::finalize(const std::vector<const Comm*>& comms) {
   if (!options_.checkLeaks) return;
   std::vector<std::string> leaks;
+  // Ops still queued in a match table have not completed: they are
+  // reported as orphaned sends / pending receives, not as leaked requests.
+  std::vector<std::uint64_t> queued;
 
   for (const Comm* comm : comms) {
     // Both enumerations come back grouped by dst in FIFO order; merge them
@@ -110,6 +163,7 @@ void Verifier::finalize(const std::vector<const Comm*>& comms) {
     for (int dst = 0; dst < comm->size(); ++dst) {
       for (; si < staged.size() && staged[si].dst == dst; ++si) {
         const auto& msg = staged[si];
+        queued.push_back(msg.op);
         std::ostringstream os;
         os << "orphaned send: " << rankName(*comm, msg.src) << " sent "
            << msg.bytes << " B (tag " << msg.tag << ") to "
@@ -117,6 +171,7 @@ void Verifier::finalize(const std::vector<const Comm*>& comms) {
         leaks.push_back(os.str());
       }
       for (; pi < posted.size() && posted[pi].dst == dst; ++pi) {
+        queued.push_back(posted[pi].op);
         std::ostringstream os;
         os << "pending receive at finalize: " << rankName(*comm, dst)
            << " posted recv(src=" << sourceName(*comm, posted[pi].src)
@@ -134,16 +189,23 @@ void Verifier::finalize(const std::vector<const Comm*>& comms) {
     }
   }
 
-  for (const Request& op : tracked_) {
-    if (op->complete && !op->waited) {
-      std::ostringstream os;
-      os << "leaked request: rank " << op->ownerWorld << " " << op->what
-         << "(peer=" << (op->peer == kAnySource ? std::string("ANY")
-                                                : std::to_string(op->peer))
-         << ", tag=" << tagName(op->tag) << ", comm " << op->commId
-         << ") completed but was never waited on";
-      leaks.push_back(os.str());
-    }
+  // Every other unwaited request completed; report them in op-id order.
+  std::sort(queued.begin(), queued.end());
+  std::vector<std::tuple<std::uint64_t, int, std::uint32_t>> open;
+  for (std::size_t owner = 0; owner < owners_.size(); ++owner)
+    for (std::uint32_t i = owners_[owner].head; i != kNil; i = reqs_[i].next)
+      if (!std::binary_search(queued.begin(), queued.end(), reqs_[i].id))
+        open.emplace_back(reqs_[i].id, static_cast<int>(owner), i);
+  std::sort(open.begin(), open.end());
+  for (const auto& [id, owner, i] : open) {
+    const OpenReq& r = reqs_[i];
+    std::ostringstream os;
+    os << "leaked request: rank " << owner << " "
+       << (r.isSend ? "send" : "recv") << "(peer="
+       << (r.peer == kAnySource ? std::string("ANY") : std::to_string(r.peer))
+       << ", tag=" << tagName(r.tag) << ", comm " << r.commId
+       << ") completed but was never waited on";
+    leaks.push_back(os.str());
   }
 
   if (leaks.empty()) return;

@@ -15,6 +15,11 @@
 //    sends), receives posted but never matched, requests completed but
 //    never waited on, and sub-communicators created but never used.
 //
+// Leak checks read compact records, not live requests: each send/receive
+// leaves a 24-byte record (op id, peer, tag, comm, send/recv, filed under
+// its owner) that a wait drops, so the verifier keeps no operation alive
+// and its memory is O(requests not yet waited), not O(requests created).
+//
 // Every defect message names the offending rank(s) and operation.  With
 // `failFast` (the default) the first defect throws VerifierError at the
 // point of detection; in collecting mode defects accumulate and can be
@@ -25,6 +30,7 @@
 // perturbs timing, so enabling it cannot change simulated results.
 
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
 #include <map>
 #include <stdexcept>
@@ -63,16 +69,19 @@ class Verifier {
   void onCollective(const Comm& comm, std::uint64_t seq, int commRank,
                     net::CollKind kind, int root, ReduceOp rop,
                     net::Dtype dt, double bytes);
-  /// A send/receive was created; the verifier keeps the request alive
-  /// for finalize-time leak checks, which read each op's final state.
-  void onP2p(const Request& op);
+  /// A send/receive was created; the verifier records it until a wait
+  /// consumes it.
+  void onP2p(const OpState& op, bool isSend);
+  /// A waitAny returned ops[fired], or (fired == ops.size()) a
+  /// wait/waitAll returned `ops`: those requests are no longer leaks.
+  void onWaitDone(const std::vector<Request>& ops, std::size_t fired);
   /// A receive matched a message; checks the declared expectation.
   void onRecvMatched(const Comm& comm, int srcCommRank, int dstCommRank,
                      int tag, double expectedBytes, double actualBytes);
 
   // ---- finalize -----------------------------------------------------------
   /// Run after a simulation completes without deadlock: scans every
-  /// communicator's matching state and every tracked request for leaks.
+  /// communicator's matching state and every unwaited request for leaks.
   /// Throws VerifierError (listing all leaks) when failFast is set and
   /// anything was found.
   void finalize(const std::vector<const Comm*>& comms);
@@ -93,13 +102,39 @@ class Verifier {
     int arrived = 0;
   };
 
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+
+  /// What a leak report says about one request not yet waited on; the
+  /// owner is the list holding it.
+  struct OpenReq {
+    std::uint64_t id = 0;
+    int peer = -1;
+    int tag = -1;
+    std::uint32_t commId : 31 = 0;
+    std::uint32_t isSend : 1 = 0;
+    std::uint32_t next = kNil;  // owner's list, creation order; free list
+  };
+  static_assert(sizeof(OpenReq) == 24);
+  struct OwnerList {
+    std::uint32_t head = kNil, tail = kNil;
+  };
+
   void defect(const std::string& msg);
+  /// Drops the record of p2p op `op`, if it is still open.
+  void closeReq(const OpState& op);
 
   VerifierOptions options_;
   // (commId, seq) -> signature of the gate's first arrival.  std::map keeps
   // iteration deterministic for reporting.
   std::map<std::pair<int, std::uint64_t>, CollSig> gates_;
-  std::vector<Request> tracked_;      // every p2p request created
+  // Unwaited requests, one list per owning world rank in creation order.
+  // A close scans only its owner's outstanding requests, and usually finds
+  // its record at the head: programs mostly wait on a rank's oldest
+  // requests first.  Nodes live in a pool (a deque, so it never copies
+  // itself while growing) and closed nodes are recycled.
+  std::vector<OwnerList> owners_;
+  std::deque<OpenReq> reqs_;
+  std::uint32_t freeReq_ = kNil;
   std::map<int, std::uint64_t> activity_;  // commId -> operation count
   std::vector<std::string> defects_;
 };

@@ -2,11 +2,15 @@
 # requires its output to match a committed golden file byte for byte.
 #
 #   cmake -DTOOL=<exe> -DARGS=<;-list> -DTHREADS=<n> -DGOLDEN=<file>
-#         -DOUT=<file> [-DOUTFILE_ARG=<flag>] -P compare.cmake
+#         -DOUT=<file> [-DOUTFILE_ARG=<flag>] [-DFILTER=<regex>]
+#         -P compare.cmake
 #
 # With OUTFILE_ARG (e.g. "--json=") the tool writes its checked output to
 # OUT through that flag and its stdout is ignored; otherwise stdout is the
-# checked output.  Regenerate goldens only with scripts/update-golden.sh.
+# checked output.  FILTER drops every line of the checked output that
+# begins with a match of the regex (e.g. "\\[wall\\]" for host-timing
+# lines) before the comparison.  Regenerate goldens only with
+# scripts/update-golden.sh.
 
 foreach(var TOOL THREADS GOLDEN OUT)
   if(NOT DEFINED ${var})
@@ -24,6 +28,19 @@ else()
 endif()
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${TOOL} exited with ${rc}")
+endif()
+
+if(DEFINED FILTER)
+  # CMake regexes have no multi-line mode: anchor each line start on the
+  # newline before it (a leading one is prepended for the first line).
+  # Like `grep -v`, this terminates an unterminated last line.
+  file(READ "${OUT}" content)
+  if(NOT content MATCHES "(^|\n)$")
+    string(APPEND content "\n")
+  endif()
+  string(REGEX REPLACE "\n(${FILTER})[^\n]*" "" content "\n${content}")
+  string(SUBSTRING "${content}" 1 -1 content)
+  file(WRITE "${OUT}" "${content}")
 endif()
 
 execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${GOLDEN}" "${OUT}"

@@ -202,6 +202,30 @@ TEST(MatchTable, LeakEnumerationsGroupByDstInFifoOrder) {
   EXPECT_EQ(posted[1].tag, 4);
 }
 
+TEST(MatchTable, LeakEnumerationsNameQueuedOps) {
+  // Posted receives and rendezvous sends are still queued (incomplete);
+  // an eager message's send completed at injection, even when an
+  // observer kept its op attached.
+  MatchTable t(2);
+  Request recv = makeOpState();
+  Request rdv = makeOpState();
+  Request eager = makeOpState();
+  recv->id = 7;
+  rdv->id = 8;
+  eager->id = 9;
+  t.addPosted(0, 1, 4, recv);
+  t.addStaged(1, {/*src=*/0, /*tag=*/5, /*bytes=*/4096.0, true, rdv, 0.0});
+  t.addStaged(1, {/*src=*/0, /*tag=*/6, /*bytes=*/16.0, false, eager, 0.0});
+
+  const auto posted = t.postedLeaks();
+  ASSERT_EQ(posted.size(), 1u);
+  EXPECT_EQ(posted[0].op, 7u);
+  const auto staged = t.stagedLeaks();
+  ASSERT_EQ(staged.size(), 2u);
+  EXPECT_EQ(staged[0].op, 8u);
+  EXPECT_EQ(staged[1].op, MatchTable::kNoOp);
+}
+
 TEST(MatchTable, RandomizedAgainstDequeScanOracle) {
   // One long adversarial run per seed: random interleavings of message
   // arrivals and receive posts over a small (dst, src, tag) space chosen
