@@ -10,6 +10,7 @@
 // payload; arrival skew is handled by the caller (smpi gates collectives on
 // the last arrival).
 
+#include <cstdint>
 #include <string>
 
 #include "arch/machine.hpp"
@@ -17,7 +18,7 @@
 
 namespace bgp::net {
 
-enum class CollKind {
+enum class CollKind : std::uint8_t {
   Barrier,
   Bcast,
   Reduce,
@@ -31,7 +32,7 @@ enum class CollKind {
 
 std::string toString(CollKind kind);
 
-enum class Dtype { Double, Float, Int32, Int64, Byte };
+enum class Dtype : std::uint8_t { Double, Float, Int32, Int64, Byte };
 double bytesOf(Dtype dt);
 
 struct CollectiveParams {

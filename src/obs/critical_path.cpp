@@ -57,7 +57,7 @@ void Profiler::computeCriticalPath(const smpi::RunResult& result) {
 
   bool complete = true;
   while (t > 0.0) {
-    if (segs.size() >= options_.maxPathSegments) {
+    if (segs.size() >= kMaxPathSegments) {
       complete = false;
       break;
     }
@@ -111,11 +111,11 @@ void Profiler::computeCriticalPath(const smpi::RunResult& result) {
         t = item->begin;
         continue;
       }
-      const char* name = collName(g.kind);
+      const char* name = collName(g.sig.kind);
       // The gate's span from its last arrival splits into the model's
       // zero-byte latency floor and the payload-dependent remainder.
-      double lat = sys.collectives().cost(g.kind, g.nranks, 0.0, g.dt,
-                                          g.fullPartition);
+      double lat = sys.collectives().cost(g.sig.kind, g.nranks, 0.0,
+                                          g.sig.dt, g.commId == 0);
       const double span = t - g.lastArrival;
       lat = std::min(std::max(lat, 0.0), span);
       emit(rank, g.lastArrival + lat, t, PathKind::Serialization, name);
@@ -293,66 +293,42 @@ double Profiler::replay(bool zeroNetwork, bool zeroCompute) const {
     return true;
   };
 
-  // Sweep the per-rank item streams; a rank parks at a Block whose ops
-  // are not yet resolvable and is revisited next sweep.
-  std::vector<std::size_t> idx(static_cast<std::size_t>(n), 0);
+  // A rank parks at a Block whose ops are not yet resolvable.
   std::vector<double> clock(static_cast<std::size_t>(n), 0.0);
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (int r = 0; r < n; ++r) {
-      const auto ri = static_cast<std::size_t>(r);
-      const auto& list = items_[ri];
-      while (idx[ri] < list.size()) {
-        const Item& it = list[idx[ri]];
-        if (it.kind == Item::Kind::Compute) {
-          clock[ri] += zeroCompute ? 0.0 : (it.end - it.begin);
-        } else if (it.kind == Item::Kind::Issue) {
-          if (GateReplay* g = gateOf(it.op)) {
-            ++g->arrived;
-            g->maxArrival = std::max(g->maxArrival, clock[ri]);
-            if (g->arrived >= g->expected)
-              g->done = g->maxArrival + (zeroNetwork ? 0.0 : g->duration);
-          } else if (ops_[it.op].kind != OpRec::Kind::Gate) {
-            newIssue[it.op] = clock[ri];
-          }
-        } else {  // Block
-          double until = clock[ri];
-          bool ok = true;
-          if (it.any) {
-            // Approximation: the replay resolves a waitAny against the
-            // op that actually fired in the executed schedule.
-            double c;
-            ok = it.op != kNoOp && completionOf(it.op, c);
-            if (ok) until = std::max(until, c);
-          } else {
-            const auto& wl = waitOps_[ri];
-            for (std::uint32_t k = 0; ok && k < it.waitCount; ++k) {
-              double c;
-              if (!completionOf(wl[it.firstWait + k], c)) {
-                ok = false;
-              } else {
-                until = std::max(until, c);
-              }
-            }
-          }
-          if (!ok) break;  // park; retry next sweep
-          clock[ri] = until;
-        }
-        ++idx[ri];
-        progress = true;
+  const bool resolved = sweep([&](int r, const Item& it) {
+    double& now = clock[static_cast<std::size_t>(r)];
+    if (it.kind == Item::Kind::Compute) {
+      now += zeroCompute ? 0.0 : (it.end - it.begin);
+    } else if (it.kind == Item::Kind::Issue) {
+      if (GateReplay* g = gateOf(it.op)) {
+        ++g->arrived;
+        g->maxArrival = std::max(g->maxArrival, now);
+        if (g->arrived >= g->expected)
+          g->done = g->maxArrival + (zeroNetwork ? 0.0 : g->duration);
+      } else if (ops_[it.op].kind != OpRec::Kind::Gate) {
+        newIssue[it.op] = now;
       }
+    } else {  // Block
+      double until = now;
+      if (it.any) {
+        // Approximation: the replay resolves a waitAny against the op
+        // that actually fired in the executed schedule.
+        double c;
+        if (it.op == kNoOp || !completionOf(it.op, c)) return false;
+        until = std::max(until, c);
+      } else {
+        for (const OpId op : waited(r, it)) {
+          double c;
+          if (!completionOf(op, c)) return false;
+          until = std::max(until, c);
+        }
+      }
+      now = until;
     }
-  }
-
-  double makespan = 0.0;
-  for (int r = 0; r < n; ++r) {
-    if (idx[static_cast<std::size_t>(r)] !=
-        items_[static_cast<std::size_t>(r)].size())
-      return -1.0;  // a dependency never resolved
-    makespan = std::max(makespan, clock[static_cast<std::size_t>(r)]);
-  }
-  return makespan;
+    return true;
+  });
+  if (!resolved) return -1.0;  // a dependency never resolved
+  return *std::max_element(clock.begin(), clock.end());
 }
 
 void Profiler::computeWhatIf(const smpi::RunResult& result) {

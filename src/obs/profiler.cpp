@@ -49,7 +49,7 @@ Profiler::Profiler(smpi::Simulation& sim, ProfileOptions options)
   siteIndex_.emplace(std::string(), 0);
   siteOf_.assign(n, 0);
   siteAggs_.resize(kOpSlots);
-  hist_.assign(std::max<std::size_t>(options_.histBins, 2), 0.0);
+  hist_.assign(kHistBins, 0.0);
   histBinSeconds_ = 1e-6;
   sim.system().torusNetwork().attachObserver(this);
 }
@@ -59,7 +59,7 @@ Profiler::~Profiler() = default;
 std::uint32_t Profiler::opSlot(const smpi::OpState& op) const {
   const OpRec* r = rec(op.id);
   if (r && r->kind == OpRec::Kind::Gate)
-    return collSlot(gates_[r->gate()].kind);
+    return collSlot(gates_[r->gate()].sig.kind);
   return whatSlot(op.what);  // "send" / "recv" / "collective"
 }
 
@@ -115,13 +115,22 @@ void Profiler::onP2pIssue(const smpi::Comm& comm, const smpi::OpState& op,
   OpRec* r = addRec(op.id);
   if (!r) return;
   r->issue = now;
-  r->bytes = op.bytes;
   r->world = rank;
-  r->kind = isSend ? OpRec::Kind::Send : OpRec::Kind::Recv;
-  if (isSend) r->peerOrGate = comm.worldRank(op.peer);
-  items_[static_cast<std::size_t>(rank)].push_back(
-      Item{now, now, static_cast<OpId>(op.id), 0, 0, Item::Kind::Issue,
-           false});
+  if (isSend) {
+    r->kind = OpRec::Kind::Send;
+    r->bytes = op.bytes;
+    r->peerOrGate = comm.worldRank(op.peer);
+  } else {
+    r->kind = OpRec::Kind::Recv;
+    r->bytes = op.expectedBytes;
+    r->peerOrGate = op.peer;
+  }
+  Item item;
+  item.begin = now;
+  item.op = static_cast<OpId>(op.id);
+  item.tag = op.tag;
+  item.commId = comm.id();
+  items_[static_cast<std::size_t>(rank)].push_back(item);
   ++itemCount_;
   checkBudget();
 }
@@ -141,10 +150,10 @@ void Profiler::onMatch(const smpi::OpState& sendOp,
 }
 
 void Profiler::onCollArrival(const smpi::Comm& comm, const smpi::OpState& op,
-                             net::CollKind kind, double bytes, int commRank,
-                             sim::SimTime now) {
+                             const smpi::CollSig& sig, double bytes,
+                             int commRank, sim::SimTime now) {
   const int rank = comm.worldRank(commRank);
-  SiteAgg& agg = siteAgg(rank, collSlot(kind));
+  SiteAgg& agg = siteAgg(rank, collSlot(sig.kind));
   ++agg.count;
   agg.bytes += bytes;
   if (!detailed()) return;
@@ -158,30 +167,33 @@ void Profiler::onCollArrival(const smpi::Comm& comm, const smpi::OpState& op,
     r->peerOrGate = static_cast<std::int32_t>(gates_.size());
     GateRec g;
     g.nranks = comm.size();
-    g.fullPartition = comm.id() == 0;
-    g.kind = kind;
+    g.commId = comm.id();
+    g.seq = op.collSeq;
+    g.sig = sig;
     gates_.push_back(g);
   }
-  items_[static_cast<std::size_t>(rank)].push_back(
-      Item{now, now, static_cast<OpId>(op.id), 0, 0, Item::Kind::Issue,
-           false});
+  Item item;
+  item.begin = now;
+  item.sig = sig;
+  item.op = static_cast<OpId>(op.id);
+  items_[static_cast<std::size_t>(rank)].push_back(item);
   ++itemCount_;
   checkBudget();
 }
 
 void Profiler::onCollComplete(const smpi::Comm& comm, const smpi::OpState& op,
-                              net::CollKind kind, double bytes, net::Dtype dt,
+                              const smpi::CollSig& sig, double bytes,
                               int lastWorld, sim::SimTime lastArrival,
                               double duration, sim::SimTime done) {
-  CollAgg& agg = collAggs_[kind];
+  CollAgg& agg = collAggs_[sig.kind];
   ++agg.gates;
   agg.bytes += bytes;
   agg.costSeconds += duration;
   const net::CollectiveModel& model = sim_->system().collectives();
   const bool full = comm.id() == 0;
-  if (model.usesTreeNetwork(kind, full)) {
+  if (model.usesTreeNetwork(sig.kind, full)) {
     ++agg.treeGates;
-  } else if (model.usesBarrierNetwork(kind, full)) {
+  } else if (model.usesBarrierNetwork(sig.kind, full)) {
     ++agg.barrierGates;
   } else {
     ++agg.torusGates;
@@ -190,7 +202,6 @@ void Profiler::onCollComplete(const smpi::Comm& comm, const smpi::OpState& op,
   OpRec* r = rec(op.id);
   if (!r) return;
   GateRec& g = gates_[r->gate()];
-  g.dt = dt;
   g.bytes = bytes;
   g.lastWorld = lastWorld;
   g.lastArrival = lastArrival;
@@ -201,8 +212,11 @@ void Profiler::onCollComplete(const smpi::Comm& comm, const smpi::OpState& op,
 
 void Profiler::onCompute(int rank, sim::SimTime now, double seconds) {
   if (!detailed()) return;
-  items_[static_cast<std::size_t>(rank)].push_back(
-      Item{now, now + seconds, kNoOp, 0, 0, Item::Kind::Compute, false});
+  Item item;
+  item.kind = Item::Kind::Compute;
+  item.begin = now;
+  item.end = now + seconds;
+  items_[static_cast<std::size_t>(rank)].push_back(item);
   ++itemCount_;
   checkBudget();
 }

@@ -1,24 +1,27 @@
 #pragma once
 // The profiling plane: null-guard zero-cost observation of one
-// Simulation.  Like the verifier and the analysis capture, its hooks are
-// called from Simulation's per-event notification points behind a null
-// check and never schedule events, so a profile-off run is byte-identical
-// to a build without this module, and a profile-on run produces
-// identical simulated timings.
+// Simulation.  Like the verifier, its hooks are called from Simulation's
+// per-event notification points behind a null check and never schedule
+// events, so a profile-off run is byte-identical to a build without this
+// module, and a profile-on run produces identical simulated timings.
 //
-// Three ways to turn it on:
+// Ways to turn it on:
 //  * Simulation::enableProfile() — programs that own their Simulation;
 //  * ProfileScope — RAII scope that profiles EVERY Simulation
-//    constructed while it is alive, process-wide (unlike the
-//    thread-local CaptureScope: the bench harness runs scenarios on a
-//    thread pool, and --profile must see all of them);
-//  * tools/bgpprof — wraps the scenario registry in a ProfileScope.
+//    constructed while it is alive, process-wide (the bench harness runs
+//    scenarios on a thread pool, and --profile must see all of them);
+//  * tools/bgpprof — wraps the scenario registry in a ProfileScope;
+//  * analysis::CaptureScope — a Simulation built under one and under no
+//    ProfileScope gets a profiler of its own, whose op log becomes the
+//    scope's op-graph.
 //
-// The profiler is self-contained: it records the happens-before facts
-// its critical-path walk and what-if replays read (each send's matched
-// receive and destination rank, each gate's last-arriving rank) itself,
-// keyed by the per-Simulation op id, so it keeps no op alive and needs
-// no analysis capture.  It registers no completion waiter either:
+// The profiler is the one per-op record of a run.  Its op log (OpRec per
+// op id, Item per issue/compute/wait, GateRec per gate) holds the facts
+// the critical path and what-ifs read (matches, send destinations, each
+// gate's last arrival) and those the smpilint passes read (tags, comms,
+// receive wildcards and declared sizes, collective signatures).  Keyed by
+// the per-Simulation op id, it keeps no op alive.  It registers no
+// completion waiter either:
 // Simulation reports each send/receive completion through onComplete, so
 // an op's awaiter keeps the OpState's inline waiter slot.
 
@@ -26,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,12 +54,6 @@ struct ProfileOptions {
   std::size_t maxOps = 1u << 20;
   /// Hot links reported (top-K by busy time).
   int topK = 10;
-  /// Traffic histogram bin count; the bin width doubles (folding pairs)
-  /// whenever the run outgrows it.
-  std::size_t histBins = 512;
-  /// Safety cap on critical-path segments; a walk that exceeds it stops
-  /// and reports the path incomplete.
-  std::size_t maxPathSegments = 1u << 16;
 };
 
 class Profiler final : public net::TorusNetwork::LinkObserver {
@@ -75,16 +73,18 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   void onComplete(const smpi::OpState& op, sim::SimTime now);
   /// A send was matched to a receive.
   void onMatch(const smpi::OpState& sendOp, const smpi::OpState& recvOp);
+  /// Comm rank `commRank` arrived at the gate whose shared op is `op`,
+  /// calling `sig` with `bytes`.
   void onCollArrival(const smpi::Comm& comm, const smpi::OpState& op,
-                     net::CollKind kind, double bytes, int commRank,
+                     const smpi::CollSig& sig, double bytes, int commRank,
                      sim::SimTime now);
-  /// The gate's last member (world rank `lastWorld`) arrived; `duration`
-  /// is the modeled cost and `done` = lastArrival + duration is when
-  /// every member resumes.
+  /// The gate's last member (world rank `lastWorld`) arrived; `sig` is the
+  /// opener's, `bytes` the modeled payload, `duration` the modeled cost,
+  /// and `done` = lastArrival + duration is when every member resumes.
   void onCollComplete(const smpi::Comm& comm, const smpi::OpState& op,
-                      net::CollKind kind, double bytes, net::Dtype dt,
-                      int lastWorld, sim::SimTime lastArrival,
-                      double duration, sim::SimTime done);
+                      const smpi::CollSig& sig, double bytes, int lastWorld,
+                      sim::SimTime lastArrival, double duration,
+                      sim::SimTime done);
   void onCompute(int rank, sim::SimTime now, double seconds);
   /// The rank suspended on a wait (only called when it actually blocks).
   void onBlockBegin(int rank, sim::SimTime now);
@@ -110,27 +110,36 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   void finalize(const smpi::RunResult& result);
   bool finalized() const { return finalized_; }
   const RunProfile& profile() const { return profile_; }
-  const ProfileOptions& options() const { return options_; }
 
- private:
-  /// Op ids as the detailed records store them.  Ids past the 32-bit
-  /// range end detailed recording like the maxOps budget does.
+  // ---- the op log (read at finalize and by analysis::buildOpGraph) -----
+  /// Op ids as the log stores them.  Ids past the 32-bit range end
+  /// detailed recording like the maxOps budget does.
   using OpId = std::uint32_t;
   /// "No op" in an op-id field.
   static constexpr OpId kNoOp = ~OpId{0};
 
-  // One recorded timeline item.  Per rank, items append in program order
-  // (a rank is sequential), which the critical-path walk and the what-if
-  // replay both rely on.
+  /// One recorded timeline item.  Per rank, items append in program order
+  /// (a rank is sequential), which the critical-path walk, the what-if
+  /// replay and the op-graph all rely on.
   struct Item {
     enum class Kind : std::uint8_t { Compute, Block, Issue };
+    Item() {}  // NOLINT: `= default` is deleted by the union holding `sig`
     sim::SimTime begin = 0.0;
-    sim::SimTime end = 0.0;        // Compute/Block only
-    OpId op = kNoOp;               // Issue: the op; Block: releaser
-    std::uint32_t firstWait = 0;   // Block: slice into waitOps_
-    std::uint32_t waitCount = 0;
+    union {
+      sim::SimTime end = 0.0;  // Compute/Block
+      smpi::CollSig sig;       // Issue of a gate arrival: the arrival's
+    };
+    OpId op = kNoOp;  // Issue: the op; Block: releaser
+    union {
+      std::uint32_t firstWait = 0;  // Block: slice into waitOps_
+      std::int32_t tag;             // Issue of a send/receive
+    };
+    union {
+      std::uint32_t waitCount = 0;  // Block
+      std::int32_t commId;          // Issue of a send/receive
+    };
     Kind kind = Kind::Issue;
-    bool any = false;              // Block came from a waitAny
+    bool any = false;  // Block came from a waitAny
   };
   static_assert(sizeof(Item) <= 32);
 
@@ -138,10 +147,12 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   struct OpRec {
     sim::SimTime issue = 0.0;
     sim::SimTime completion = -1.0;  // < 0: never completed / still open
+    /// Send: payload; Recv: declared size (< 0: none); Gate: the opener's.
     double bytes = 0.0;
     OpId partner = kNoOp;  // p2p: the matched op, if recorded
-    int world = -1;        // issuing world rank
-    /// Send: destination world rank; Gate: index into gates_.
+    int world = -1;        // issuing world rank (Gate: the opener)
+    /// Send: destination world rank; Recv: wanted source comm rank (or
+    /// smpi::kAnySource); Gate: index into gates_.
     std::int32_t peerOrGate = -1;
     // None: an id the profiler did not record (budget hit first).
     enum class Kind : std::uint8_t { None, Send, Recv, Gate } kind =
@@ -153,9 +164,9 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
 
   struct GateRec {
     int nranks = 0;
-    bool fullPartition = false;
-    net::CollKind kind{};
-    net::Dtype dt{};
+    int commId = -1;        // 0: the world, the full partition
+    std::uint64_t seq = 0;  // the gate's collective number on commId
+    smpi::CollSig sig;      // the opener's
     double bytes = 0.0;
     int lastWorld = -1;  // the member the gate waited for
     sim::SimTime lastArrival = -1.0;
@@ -163,6 +174,47 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
     sim::SimTime done = -1.0;
   };
 
+  /// True once detailed recording stopped: the log then holds the run's
+  /// events up to some instant of the executed schedule.
+  bool truncated() const { return truncated_; }
+  std::size_t opCount() const { return ops_.size(); }
+  /// The record of op `id`, or null if it was not recorded.
+  const OpRec* rec(std::uint64_t id) const {
+    return recorded(id) ? &ops_[id] : nullptr;
+  }
+  const GateRec& gate(const OpRec& r) const { return gates_[r.gate()]; }
+  /// Every op a Block item waited on (for a waitAny, also those that did
+  /// not fire).
+  std::span<const OpId> waited(int rank, const Item& block) const {
+    return std::span<const OpId>(waitOps_[static_cast<std::size_t>(rank)])
+        .subspan(block.firstWait, block.waitCount);
+  }
+
+  /// Visits every rank's items in program order, interleaved in an order
+  /// that respects the recorded dependencies: `step(rank, item)` returns
+  /// false to park the rank at an item whose dependencies are not visited
+  /// yet, to be offered again on the next pass.  False if one stays parked.
+  template <class Step>
+  bool sweep(Step&& step) const {
+    const std::size_t n = items_.size();
+    std::vector<std::size_t> idx(n, 0);
+    for (bool progress = true; progress;) {
+      progress = false;
+      for (std::size_t r = 0; r < n; ++r) {
+        const auto& list = items_[r];
+        while (idx[r] < list.size() &&
+               step(static_cast<int>(r), list[idx[r]])) {
+          ++idx[r];
+          progress = true;
+        }
+      }
+    }
+    for (std::size_t r = 0; r < n; ++r)
+      if (idx[r] != items_[r].size()) return false;
+    return true;
+  }
+
+ private:
   struct SiteAgg {
     std::uint64_t count = 0;
     double bytes = 0.0;
@@ -186,16 +238,19 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
     std::uint64_t torusGates = 0;
   };
 
+  /// Traffic histogram bin count; the bin width doubles (folding pairs)
+  /// whenever the run outgrows it.
+  static constexpr std::size_t kHistBins = 512;
+  /// Safety cap on critical-path segments; a walk that exceeds it stops
+  /// and reports the path incomplete.
+  static constexpr std::size_t kMaxPathSegments = 1u << 16;
+
   /// Detailed recording is on until the op/item budget trips.
   bool detailed() const { return !truncated_; }
   bool recorded(std::uint64_t id) const {
     return id < ops_.size() && ops_[id].kind != OpRec::Kind::None;
   }
-  /// The record of op `id`, or null if it was not recorded.
   OpRec* rec(std::uint64_t id) { return recorded(id) ? &ops_[id] : nullptr; }
-  const OpRec* rec(std::uint64_t id) const {
-    return recorded(id) ? &ops_[id] : nullptr;
-  }
   /// Adds the record of op `id` (ids arrive in creation order), or ends
   /// detailed recording and returns null when `id` does not fit an OpId.
   OpRec* addRec(std::uint64_t id);

@@ -1,122 +1,12 @@
 #include "smpi/analysis/capture.hpp"
 
+#include <span>
+
+#include "obs/profiler.hpp"
 #include "smpi/comm.hpp"
 #include "support/expect.hpp"
 
 namespace bgp::smpi::analysis {
-
-Capture::Capture(int nranks, CaptureOptions options)
-    : options_(options),
-      graph_(nranks),
-      rankSeq_(static_cast<std::size_t>(nranks), 0) {
-  BGP_REQUIRE(nranks > 0);
-}
-
-bool Capture::full() {
-  if (graph_.nodes().size() < options_.maxOps) return false;
-  graph_.markTruncated();
-  return true;
-}
-
-void Capture::noteComm(const Comm& comm) {
-  if (graph_.comm(comm.id()) != nullptr) return;
-  CommInfo info;
-  info.size = comm.size();
-  info.worldOfCommRank.reserve(static_cast<std::size_t>(comm.size()));
-  for (int r = 0; r < comm.size(); ++r)
-    info.worldOfCommRank.push_back(comm.worldRank(r));
-  graph_.noteComm(comm.id(), std::move(info));
-}
-
-std::int32_t Capture::nodeOf(const OpState& op) const {
-  return op.id < nodeOfOp_.size() ? nodeOfOp_[op.id] : -1;
-}
-
-void Capture::onP2p(const Comm& comm, const OpState& op, bool isSend,
-                    sim::SimTime now) {
-  if (full()) return;
-  noteComm(comm);
-  OpNode n;
-  n.kind = isSend ? OpKind::Send : OpKind::Recv;
-  n.world = op.ownerWorld;
-  n.rankSeq = rankSeq_[static_cast<std::size_t>(n.world)]++;
-  n.commId = comm.id();
-  n.commRank = comm.commRankOf(n.world);
-  n.peer = op.peer;  // Recv: may be kAnySource
-  n.tag = op.tag;    // Recv: may be kAnyTag
-  n.bytes = op.bytes;                  // Recv: 0
-  n.expectedBytes = op.expectedBytes;  // Send: -1
-  n.time = now;
-  if (op.id >= nodeOfOp_.size()) nodeOfOp_.resize(op.id + 1, -1);
-  nodeOfOp_[op.id] = graph_.add(std::move(n));
-}
-
-void Capture::onCollective(const Comm& comm, std::uint64_t seq, int commRank,
-                           net::CollKind kind, int root, ReduceOp rop,
-                           net::Dtype dt, double bytes, sim::SimTime now) {
-  if (full()) return;
-  noteComm(comm);
-  OpNode n;
-  n.kind = OpKind::Coll;
-  n.world = comm.worldRank(commRank);
-  n.rankSeq = rankSeq_[static_cast<std::size_t>(n.world)]++;
-  n.commId = comm.id();
-  n.commRank = commRank;
-  n.collKind = kind;
-  n.collSeq = seq;
-  n.collRoot = root;
-  n.collRop = rop;
-  n.collDt = dt;
-  n.bytes = bytes;
-  n.time = now;
-  const auto id = graph_.add(std::move(n));
-  graph_.addGateArrival(comm.id(), seq, id);
-}
-
-void Capture::onMatch(const OpState& sendOp, const OpState& recvOp) {
-  const std::int32_t s = nodeOf(sendOp);
-  const std::int32_t r = nodeOf(recvOp);
-  if (s < 0 || r < 0) return;  // one side recorded after the budget hit
-  graph_.node(s).matched = r;
-  graph_.node(r).matched = s;
-}
-
-std::int32_t Capture::addWaitNode(int world, sim::SimTime now) {
-  OpNode n;
-  n.kind = OpKind::Wait;
-  n.world = world;
-  n.rankSeq = rankSeq_[static_cast<std::size_t>(world)]++;
-  n.time = now;
-  return graph_.add(std::move(n));
-}
-
-void Capture::onWait(int world, const std::vector<Request>& ops,
-                     sim::SimTime now) {
-  if (full()) return;
-  const std::int32_t wid = addWaitNode(world, now);
-  OpNode& w = graph_.node(wid);
-  for (const Request& op : ops) {
-    std::int32_t id = -1;
-    if (op->what[0] == 'c') {  // "collective": shared gate op, no own node
-      if (const auto* arrivals =
-              graph_.gateArrivals(op->commId, op->collSeq)) {
-        for (const std::int32_t a : *arrivals)
-          if (graph_.node(a).world == world) {
-            id = a;
-            break;
-          }
-      }
-    } else {
-      id = nodeOf(*op);
-    }
-    if (id < 0) continue;
-    w.waited.push_back(id);
-    OpNode& target = graph_.node(id);
-    if (target.waitedAt < 0) target.waitedAt = wid;
-  }
-}
-
-// ---- CaptureScope ---------------------------------------------------------
 
 namespace {
 thread_local CaptureScope* tlsActiveScope = nullptr;
@@ -131,9 +21,117 @@ CaptureScope::~CaptureScope() { tlsActiveScope = prev_; }
 
 CaptureScope* CaptureScope::active() { return tlsActiveScope; }
 
-Capture& CaptureScope::attach(int nranks) {
-  captures_.push_back(std::make_unique<Capture>(nranks, options_));
-  return *captures_.back();
+OpGraph& CaptureScope::attach(int nranks) {
+  BGP_REQUIRE(nranks > 0);
+  graphs_.push_back(std::make_unique<OpGraph>(nranks, options_.maxOps));
+  return *graphs_.back();
+}
+
+void buildOpGraph(const obs::Profiler& log,
+                  const std::vector<const Comm*>& comms, OpGraph& graph) {
+  using Log = obs::Profiler;
+  BGP_REQUIRE(graph.nodes().empty());
+  if (log.truncated()) graph.markTruncated();
+
+  std::size_t events = 0;  // one node per item but computes
+  log.sweep([&](int, const Log::Item& it) {
+    events += it.kind != Log::Item::Kind::Compute;
+    return true;
+  });
+  graph.reserve(events);
+  std::vector<std::int32_t> nodeOfOp(log.opCount(), -1);  // p2p ops only
+  std::vector<int> rankSeq(static_cast<std::size_t>(graph.nranks()), 0);
+  const auto arrivalsOf = [&](const Log::OpRec& gate) {
+    const Log::GateRec& g = log.gate(gate);
+    return graph.gateArrivals(g.commId, g.seq);
+  };
+  // A wait-return comes after the matched send of every receive it
+  // returned and after every arrival at every gate it returned.
+  const auto ready = [&](const Log::OpRec* r) {
+    if (!r || r->kind == Log::OpRec::Kind::Send) return true;
+    if (r->kind == Log::OpRec::Kind::Recv)
+      return !log.rec(r->partner) || nodeOfOp[r->partner] >= 0;
+    const auto* arrivals = arrivalsOf(*r);
+    return arrivals &&
+           static_cast<int>(arrivals->size()) == log.gate(*r).nranks;
+  };
+  // The node a wait by `world` returns for op `id`: a p2p op's own, or the
+  // rank's gate arrival; -1 for an op the log did not record.
+  const auto target = [&](const Log::OpRec* r, Log::OpId id, int world) {
+    if (r && r->kind != Log::OpRec::Kind::Gate) return nodeOfOp[id];
+    if (r)
+      for (const std::int32_t a : *arrivalsOf(*r))
+        if (graph.node(a).world == world) return a;
+    return std::int32_t{-1};
+  };
+
+  const bool complete = log.sweep([&](int world, const Log::Item& it) {
+    if (it.kind == Log::Item::Kind::Compute) return true;
+    const Log::OpRec* r = log.rec(it.op);
+    std::span<const Log::OpId> waited;
+    const Comm* comm = nullptr;
+    OpNode n;
+    n.world = world;
+    n.rankSeq = rankSeq[static_cast<std::size_t>(world)];
+    if (it.kind == Log::Item::Kind::Block) {
+      waited = it.any ? std::span(&it.op, 1) : log.waited(world, it);
+      for (const Log::OpId op : waited)
+        if (!ready(log.rec(op))) return false;
+      n.kind = OpKind::Wait;
+    } else if (r->kind == Log::OpRec::Kind::Gate) {
+      comm = comms[static_cast<std::size_t>(log.gate(*r).commId)];
+      n.kind = OpKind::Coll;
+      n.collSeq = log.gate(*r).seq;
+      n.sig = it.sig;
+      n.bytes = r->bytes;
+    } else {
+      comm = comms[static_cast<std::size_t>(it.commId)];
+      n.tag = it.tag;
+      if (r->kind == Log::OpRec::Kind::Send) {
+        n.kind = OpKind::Send;
+        n.peer = comm->commRankOf(r->peerOrGate);
+        n.bytes = r->bytes;
+      } else {
+        n.kind = OpKind::Recv;
+        n.peer = r->peerOrGate;
+        n.expectedBytes = r->bytes;
+      }
+    }
+    if (comm) {
+      n.commId = comm->id();
+      n.commRank = comm->commRankOf(world);
+    }
+
+    const std::int32_t id = graph.add(std::move(n));
+    if (id < 0) return false;  // budget hit: the graph is marked truncated
+    ++rankSeq[static_cast<std::size_t>(world)];
+    if (comm && graph.comm(comm->id()) == nullptr) {
+      CommInfo info;
+      info.size = comm->size();
+      for (int cr = 0; cr < comm->size(); ++cr)
+        info.worldOfCommRank.push_back(comm->worldRank(cr));
+      graph.noteComm(comm->id(), std::move(info));
+    }
+    if (it.kind == Log::Item::Kind::Block) {
+      for (const Log::OpId op : waited) {
+        const std::int32_t t = target(log.rec(op), op, world);
+        if (t < 0) continue;
+        graph.node(id).waited.push_back(t);
+        if (graph.node(t).waitedAt < 0) graph.node(t).waitedAt = id;
+      }
+    } else if (r->kind == Log::OpRec::Kind::Gate) {
+      const Log::GateRec& g = log.gate(*r);
+      graph.addGateArrival(g.commId, g.seq, id, world == r->world);
+    } else {
+      nodeOfOp[it.op] = id;
+      if (log.rec(r->partner) && nodeOfOp[r->partner] >= 0) {
+        graph.node(id).matched = nodeOfOp[r->partner];
+        graph.node(nodeOfOp[r->partner]).matched = id;
+      }
+    }
+    return true;
+  });
+  if (!complete) graph.markTruncated();
 }
 
 }  // namespace bgp::smpi::analysis

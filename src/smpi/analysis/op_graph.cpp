@@ -20,6 +20,10 @@ const char* toString(OpKind kind) {
 std::int32_t OpGraph::add(OpNode n) {
   BGP_REQUIRE(n.world >= 0 && n.world < nranks_);
   BGP_CHECK_MSG(clocks_.empty(), "op-graph frozen after computeClocks()");
+  if (nodes_.size() >= maxNodes_) {
+    truncated_ = true;
+    return -1;
+  }
   const auto id = static_cast<std::int32_t>(nodes_.size());
   nodes_.push_back(std::move(n));
   return id;
@@ -32,8 +36,9 @@ const std::vector<std::int32_t>* OpGraph::gateArrivals(
 }
 
 void OpGraph::addGateArrival(int commId, std::uint64_t seq,
-                             std::int32_t nodeId) {
-  gates_[{commId, seq}].push_back(nodeId);
+                             std::int32_t nodeId, bool opener) {
+  auto& arrivals = gates_[{commId, seq}];
+  arrivals.insert(opener ? arrivals.begin() : arrivals.end(), nodeId);
 }
 
 void OpGraph::noteComm(int commId, CommInfo info) {
@@ -112,8 +117,8 @@ std::string OpGraph::describe(std::int32_t id) const {
       if (n.expectedBytes >= 0) os << ", expect=" << n.expectedBytes;
       break;
     case OpKind::Coll:
-      os << net::toString(n.collKind) << "(#" << n.collSeq;
-      if (n.collRoot >= 0) os << ", root=" << n.collRoot;
+      os << net::toString(n.sig.kind) << "(#" << n.collSeq;
+      if (n.sig.root >= 0) os << ", root=" << n.sig.root;
       break;
     case OpKind::Wait:
       os << "wait(" << n.waited.size() << " op"

@@ -2,13 +2,12 @@
 // The communication op-graph: the schedule-independent record of one
 // simulated run that the static analysis passes reason over.
 //
-// A capture-enabled Simulation (see capture.hpp) appends one node per
-// runtime event — send issue, receive post, collective arrival, wait
-// return — in the order the event engine executed them.  Because the
-// engine's execution order is one linearization of the program's
-// happens-before partial order, that creation order is a valid
-// topological order of the graph, and vector clocks can be computed in a
-// single forward pass.
+// Built from the profiler's op log when a captured run ends (see
+// capture.hpp): one node per send issue, receive post, collective arrival
+// and wait return, in the order the log's dependency sweep visits them.
+// That order respects each rank's program order and the message and
+// collective edges below, so it is a topological order of the graph and
+// vector clocks can be computed in a single forward pass.
 //
 // Happens-before edges (computeClocks):
 //  * program order: consecutive nodes of the same rank;
@@ -24,14 +23,14 @@
 // makes the verdicts hold for all feasible schedules, not just the one
 // the engine happened to execute.
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "net/collective_model.hpp"
-#include "sim/engine.hpp"
 #include "smpi/types.hpp"
 
 namespace bgp::smpi::analysis {
@@ -41,7 +40,7 @@ enum class OpKind : std::uint8_t { Send, Recv, Coll, Wait };
 const char* toString(OpKind kind);
 
 /// One captured runtime event.  Fields that do not apply to a kind keep
-/// their defaults (e.g. collKind on a Send).
+/// their defaults (e.g. sig on a Send).
 struct OpNode {
   OpKind kind = OpKind::Send;
   int world = -1;     // issuing world rank
@@ -50,22 +49,17 @@ struct OpNode {
   int commRank = -1;  // issuer's rank within the communicator
   int peer = -1;      // Send: dst comm rank; Recv: wanted src (may be ANY)
   int tag = -1;       // Send: tag; Recv: wanted tag (may be ANY)
-  double bytes = 0.0;
+  double bytes = 0.0;           // Send: payload; Coll: the opener's
   double expectedBytes = -1.0;  // Recv only; < 0 = undeclared
 
   // Collective arrivals.
-  net::CollKind collKind{};
   std::uint64_t collSeq = 0;
-  int collRoot = -1;
-  ReduceOp collRop = ReduceOp::None;
-  net::Dtype collDt = net::Dtype::Byte;
+  CollSig sig;
 
   // Cross links (node ids; -1 = none).
   std::int32_t matched = -1;   // Send <-> Recv partner, set on both sides
   std::int32_t waitedAt = -1;  // first Wait node that consumed this op
   std::vector<std::int32_t> waited;  // Wait only: the ops it returned
-
-  sim::SimTime time = 0.0;  // issue time in the executed schedule (diag)
 };
 
 /// Communicator membership, recorded once per communicator so findings
@@ -77,7 +71,9 @@ struct CommInfo {
 
 class OpGraph {
  public:
-  explicit OpGraph(int nranks) : nranks_(nranks) {}
+  /// A graph of at most `maxNodes` nodes.
+  explicit OpGraph(int nranks, std::size_t maxNodes = SIZE_MAX)
+      : nranks_(nranks), maxNodes_(maxNodes) {}
 
   int nranks() const { return nranks_; }
   const std::vector<OpNode>& nodes() const { return nodes_; }
@@ -86,14 +82,17 @@ class OpGraph {
   }
   OpNode& node(std::int32_t id) { return nodes_[static_cast<std::size_t>(id)]; }
 
-  /// Appends a node (creation order must be the engine's execution
-  /// order); returns its id.
+  /// Appends a node (after every node it depends on); returns its id, or
+  /// -1 and marks the graph truncated once it holds maxNodes.
   std::int32_t add(OpNode n);
+  void reserve(std::size_t n) { nodes_.reserve(std::min(n, maxNodes_)); }
 
-  /// Arrival node ids of collective gate (commId, collSeq), arrival order.
+  /// Arrival node ids of collective gate (commId, collSeq), the opener's
+  /// first.
   const std::vector<std::int32_t>* gateArrivals(int commId,
                                                std::uint64_t seq) const;
-  void addGateArrival(int commId, std::uint64_t seq, std::int32_t nodeId);
+  void addGateArrival(int commId, std::uint64_t seq, std::int32_t nodeId,
+                      bool opener);
   /// All gates, keyed (commId, collSeq), ascending.
   const std::map<std::pair<int, std::uint64_t>, std::vector<std::int32_t>>&
   gates() const {
@@ -104,15 +103,14 @@ class OpGraph {
   const CommInfo* comm(int commId) const;
   const std::map<int, CommInfo>& comms() const { return comms_; }
 
-  /// True once the capture hit its op budget and stopped recording; the
-  /// graph is then a prefix of the run and verdicts only cover it.
+  /// True once the graph or the op log it was built from hit its budget;
+  /// the graph then covers a prefix of the run and verdicts only cover it.
   bool truncated() const { return truncated_; }
   void markTruncated() { truncated_ = true; }
 
   // ---- happens-before --------------------------------------------------
   /// Computes vector clocks over all nodes (idempotent; O(nodes x ranks)).
   void computeClocks();
-  bool clocksComputed() const { return !clocks_.empty(); }
 
   /// Strict happens-before under the captured partial order.  Requires
   /// computeClocks().  hb(a, a) is false; concurrent nodes are those with
@@ -135,6 +133,7 @@ class OpGraph {
   }
 
   int nranks_;
+  std::size_t maxNodes_;
   bool truncated_ = false;
   std::vector<OpNode> nodes_;
   std::map<std::pair<int, std::uint64_t>, std::vector<std::int32_t>> gates_;

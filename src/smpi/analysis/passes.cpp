@@ -166,13 +166,13 @@ void checkCollectiveContracts(const OpGraph& g, Report& report) {
         const OpNode& a = g.node(aid);
         std::string what;
         Severity sev = Severity::Error;
-        if (a.collKind != ref.collKind)
+        if (a.sig.kind != ref.sig.kind)
           what = "operation kinds differ";
-        else if (a.collRoot != ref.collRoot)
+        else if (a.sig.root != ref.sig.root)
           what = "roots differ";
-        else if (a.collRop != ref.collRop)
+        else if (a.sig.rop != ref.sig.rop)
           what = "reduction operators differ";
-        else if (a.collDt != ref.collDt) {
+        else if (a.sig.dt != ref.sig.dt) {
           what = "datatypes differ";
           sev = Severity::Warning;
         }
@@ -187,11 +187,11 @@ void checkCollectiveContracts(const OpGraph& g, Report& report) {
         f.evidence.push_back(g.describe((*arrivals)[0]));
         f.evidence.push_back(g.describe(aid));
         std::ostringstream w;
-        w << "rank " << ref.world << " calls " << net::toString(ref.collKind)
-          << "(root=" << ref.collRoot << ", op=" << toString(ref.collRop)
+        w << "rank " << ref.world << " calls " << net::toString(ref.sig.kind)
+          << "(root=" << ref.sig.root << ", op=" << toString(ref.sig.rop)
           << ") while rank " << a.world << " calls "
-          << net::toString(a.collKind) << "(root=" << a.collRoot
-          << ", op=" << toString(a.collRop) << ") at the same point";
+          << net::toString(a.sig.kind) << "(root=" << a.sig.root
+          << ", op=" << toString(a.sig.rop) << ") at the same point";
         f.witness = w.str();
         report.add(std::move(f));
         if (sev == Severity::Error) diverged = true;

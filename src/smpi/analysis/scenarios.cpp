@@ -245,8 +245,8 @@ ScenarioResult runScenario(const Scenario& scenario) {
     result.failed = true;
     result.error = e.what();
   }
-  for (const auto& capture : scope.captures())
-    result.reports.push_back(analyze(capture->graph()));
+  for (const auto& graph : scope.graphs())
+    result.reports.push_back(analyze(*graph));
   return result;
 }
 

@@ -43,17 +43,13 @@ struct ScenarioResult {
       if (!r.clean()) return false;
     return true;
   }
-  std::size_t findingCount() const {
-    std::size_t n = 0;
-    for (const Report& r : reports) n += r.findings.size();
-    return n;
-  }
 };
 
-/// Runs one scenario under a CaptureScope and analyzes every capture.  A
-/// workload exception is recorded in `failed`/`error` (the captures up to
-/// that point are still analyzed — that is how divergence defects are
-/// localized even though the runtime aborts).
+/// Runs one scenario under a CaptureScope and analyzes every graph.  A
+/// workload exception is recorded in `failed`/`error` (the graphs of the
+/// runs up to that point, the failed one included, are still analyzed —
+/// that is how divergence defects are localized even though the runtime
+/// aborts).
 ScenarioResult runScenario(const Scenario& scenario);
 
 }  // namespace bgp::smpi::analysis

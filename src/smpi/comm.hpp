@@ -40,7 +40,7 @@ class Comm {
 
  private:
   friend class Simulation;
-  friend class Verifier;  // finalize-time leak scans over matching state
+  friend class Verifier;  // gate signatures, finalize-time leak scans
 
   Comm(int id, std::vector<int> members, int worldSize);
 
@@ -50,12 +50,10 @@ class Comm {
   /// same resume order, at the same simulated time, as the seed's
   /// one-OpState-per-rank fan-out, at 1/size the allocations and events.
   struct CollGate {
-    net::CollKind kind{};
-    double bytes = 0.0;
-    net::Dtype dt{};
-    int root = -1;
-    ReduceOp rop = ReduceOp::None;
-    int firstRank = -1;  // comm rank that opened the gate (diagnostics)
+    CollSig sig;              // the opener's
+    double firstBytes = 0.0;  // the opener's payload
+    double bytes = 0.0;       // largest payload so far (the modeled size)
+    int firstRank = -1;       // comm rank that opened the gate
     int arrived = 0;
     sim::SimTime lastArrival = 0.0;
     Request op;  // shared by every member

@@ -6,6 +6,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "smpi/analysis/capture.hpp"
 #include "support/expect.hpp"
 
 namespace bgp::smpi {
@@ -30,10 +31,16 @@ Simulation::Simulation(arch::MachineConfig machine, std::int64_t nranks,
     ranks_.back().id_ = static_cast<int>(i);
     ranks_.back().rng_.reseed(splitmix64(sm));
   }
-  if (auto* scope = analysis::CaptureScope::active())
-    capture_ = &scope->attach(static_cast<int>(nranks));
   if (auto* pscope = obs::ProfileScope::active())
     profiler_ = &pscope->attach(*this);
+  if (auto* cscope = analysis::CaptureScope::active()) {
+    opGraph_ = &cscope->attach(static_cast<int>(nranks));
+    if (!profiler_) {
+      obs::ProfileOptions po;
+      po.maxOps = cscope->options().maxOps;
+      enableProfile(po);
+    }
+  }
 }
 
 void Simulation::setFaults(const sim::FaultConfig& config) {
@@ -83,14 +90,6 @@ Verifier& Simulation::enableVerifier(VerifierOptions options) {
   return *verifier_;
 }
 
-analysis::Capture& Simulation::enableCapture(analysis::CaptureOptions options) {
-  BGP_REQUIRE_MSG(!ran_, "enableCapture must be called before run()");
-  ownedCapture_ = std::make_unique<analysis::Capture>(
-      static_cast<int>(nranks_), options);
-  capture_ = ownedCapture_.get();
-  return *capture_;
-}
-
 obs::Profiler& Simulation::enableProfile(obs::ProfileOptions options) {
   BGP_REQUIRE_MSG(!ran_, "enableProfile must be called before run()");
   ownedProfiler_ = std::make_unique<obs::Profiler>(*this, options);
@@ -101,6 +100,32 @@ obs::Profiler& Simulation::enableProfile(obs::ProfileOptions options) {
 RunResult Simulation::run(const RankProgram& program) {
   BGP_REQUIRE_MSG(!ran_, "Simulation::run may be called once");
   ran_ = true;
+  // The op-graph is built while the op log is whole: before finalize()
+  // releases it, and also when the run throws, since the ops a failed
+  // run issued are what its diagnosis needs.
+  const auto buildGraph = [this] {
+    if (opGraph_) analysis::buildOpGraph(*profiler_, comms(), *opGraph_);
+  };
+  RunResult result;
+  try {
+    result = execute(program);
+  } catch (...) {
+    buildGraph();
+    throw;
+  }
+  buildGraph();
+  if (profiler_ && !profiler_->finalized()) profiler_->finalize(result);
+  return result;
+}
+
+std::vector<const Comm*> Simulation::comms() const {
+  std::vector<const Comm*> all;
+  all.push_back(world_.get());
+  for (const auto& c : subComms_) all.push_back(c.get());
+  return all;
+}
+
+RunResult Simulation::execute(const RankProgram& program) {
   std::vector<sim::Task> tasks;
   tasks.reserve(static_cast<std::size_t>(nranks_));
   std::vector<double> finish(static_cast<std::size_t>(nranks_), -1.0);
@@ -163,19 +188,13 @@ RunResult Simulation::run(const RankProgram& program) {
     throw DeadlockError(os.str());
   }
 
-  if (verifier_) {
-    std::vector<const Comm*> comms;
-    comms.push_back(world_.get());
-    for (const auto& c : subComms_) comms.push_back(c.get());
-    verifier_->finalize(comms);
-  }
+  if (verifier_) verifier_->finalize(comms());
 
   RunResult result;
   result.finishTimes = std::move(finish);
   result.makespan =
       *std::max_element(result.finishTimes.begin(), result.finishTimes.end());
   result.events = engine_.eventsProcessed();
-  if (profiler_ && !profiler_->finalized()) profiler_->finalize(result);
   return result;
 }
 
@@ -330,7 +349,6 @@ Request Simulation::newOp(const char* what, int ownerWorld, int commId) {
 
 void Simulation::noteIssue(const Comm& comm, const Request& op, bool isSend) {
   if (verifier_) verifier_->onP2p(*op, isSend);
-  if (capture_) capture_->onP2p(comm, *op, isSend, engine_.now());
   if (profiler_) profiler_->onP2pIssue(comm, *op, isSend, engine_.now());
 }
 
@@ -340,22 +358,15 @@ void Simulation::noteMatch(const Comm& comm, int src, int dst, int tag,
   if (verifier_)
     verifier_->onRecvMatched(comm, src, dst, tag, recvOp.expectedBytes,
                              bytes);
-  if (!sendOp) return;
-  if (capture_) capture_->onMatch(*sendOp, recvOp);
-  if (profiler_) profiler_->onMatch(*sendOp, recvOp);
+  if (sendOp && profiler_) profiler_->onMatch(*sendOp, recvOp);
 }
 
-void Simulation::noteGateArrive(const Comm& comm, std::uint64_t seq,
-                                int commRank, net::CollKind kind, int root,
-                                ReduceOp rop, net::Dtype dt, double bytes,
-                                const OpState& gateOp) {
-  if (verifier_)
-    verifier_->onCollective(comm, seq, commRank, kind, root, rop, dt, bytes);
-  if (capture_)
-    capture_->onCollective(comm, seq, commRank, kind, root, rop, dt, bytes,
-                           engine_.now());
+void Simulation::noteGateArrive(const Comm& comm, const Comm::CollGate& gate,
+                                int commRank, const CollSig& sig,
+                                double bytes) {
+  if (verifier_) verifier_->onCollective(comm, gate, commRank, sig, bytes);
   if (profiler_)
-    profiler_->onCollArrival(comm, gateOp, kind, bytes, commRank,
+    profiler_->onCollArrival(comm, *gate.op, sig, bytes, commRank,
                              engine_.now());
 }
 
@@ -363,7 +374,7 @@ void Simulation::noteGateDone(const Comm& comm, const Comm::CollGate& gate,
                               int lastRank, double duration,
                               sim::SimTime done) {
   if (profiler_)
-    profiler_->onCollComplete(comm, *gate.op, gate.kind, gate.bytes, gate.dt,
+    profiler_->onCollComplete(comm, *gate.op, gate.sig, gate.bytes,
                               comm.worldRank(lastRank), gate.lastArrival,
                               duration, done);
 }
@@ -376,13 +387,6 @@ void Simulation::noteWaitDone(int worldRank, const std::vector<Request>& ops,
                               std::size_t fired) {
   const sim::SimTime now = engine_.now();
   if (verifier_) verifier_->onWaitDone(ops, fired);
-  if (capture_) {
-    if (fired < ops.size()) {
-      capture_->onWait(worldRank, {ops[fired]}, now);
-    } else {
-      capture_->onWait(worldRank, ops, now);
-    }
-  }
   if (profiler_) profiler_->onWaitDone(worldRank, ops, fired, now);
 }
 
@@ -422,10 +426,9 @@ Request Simulation::startSend(int worldSrc, Comm& comm, int dstCommRank,
       noteComplete(*op);
       op->finish();
     });
-    // Unless an observer records matches (capture, profiler), the arrival
-    // callback holds no reference to the send, so the op is freed at
-    // injection.
-    Request matchOp = capture_ || profiler_ ? op : nullptr;
+    // Unless the profiler records matches, the arrival callback holds no
+    // reference to the send, so the op is freed at injection.
+    Request matchOp = profiler_ ? op : nullptr;
     engine_.scheduleCallback(
         tr.arrival,
         [this, &comm, srcCommRank, dstCommRank, tag, bytes, matchOp] {
@@ -531,12 +534,11 @@ Request Simulation::joinCollective(Comm& comm, int commRank,
   checkAlive(comm.worldRank(commRank));
   const std::uint64_t seq =
       comm.nextCollSeq_[static_cast<std::size_t>(commRank)]++;
+  const CollSig sig{root, kind, rop, dt};
   auto& gate = comm.colls_[seq];
   if (gate.arrived == 0) {
-    gate.kind = kind;
-    gate.dt = dt;
-    gate.root = root;
-    gate.rop = rop;
+    gate.sig = sig;
+    gate.firstBytes = bytes;
     gate.firstRank = commRank;
     // One OpState for the whole gate: every member awaits the same op,
     // and the waiter registration order *is* the arrival order, so
@@ -546,12 +548,12 @@ Request Simulation::joinCollective(Comm& comm, int commRank,
     gate.op->collSeq = seq;
   }
   // Before the gate's contract check below: a divergent arrival must land
-  // in the op-graph so the collective-contract pass can localize it even
+  // in the op log so the collective-contract pass can localize it even
   // though the runtime aborts the run.
-  noteGateArrive(comm, seq, commRank, kind, root, rop, dt, bytes, *gate.op);
-  BGP_REQUIRE_MSG(gate.kind == kind,
+  noteGateArrive(comm, gate, commRank, sig, bytes);
+  BGP_REQUIRE_MSG(gate.sig.kind == kind,
                   "collective mismatch: ranks disagree on operation " +
-                      net::toString(gate.kind) + " vs " +
+                      net::toString(gate.sig.kind) + " vs " +
                       net::toString(kind));
   gate.bytes = std::max(gate.bytes, bytes);
   gate.op->bytes = gate.bytes;
@@ -563,7 +565,7 @@ Request Simulation::joinCollective(Comm& comm, int commRank,
     // The BG/P tree/barrier networks only serve the full partition; sub-
     // communicator collectives run torus algorithms (comm id 0 = world).
     const double duration = system_->collectives().cost(
-        kind, comm.size(), gate.bytes, gate.dt, comm.id() == 0);
+        kind, comm.size(), gate.bytes, gate.sig.dt, comm.id() == 0);
     const sim::SimTime done = gate.lastArrival + duration;
     engine_.scheduleCallback(done, [op] { op->finish(); });
     noteGateDone(comm, gate, commRank, duration, done);

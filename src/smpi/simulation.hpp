@@ -13,13 +13,16 @@
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
 #include "sim/task.hpp"
-#include "smpi/analysis/capture.hpp"
 #include "smpi/comm.hpp"
 #include "smpi/rank.hpp"
 #include "smpi/types.hpp"
 #include "smpi/verifier.hpp"
 
 namespace bgp::smpi {
+
+namespace analysis {
+class OpGraph;
+}
 
 /// A rank program: invoked once per rank to create its coroutine.
 using RankProgram = std::function<sim::Task(Rank&)>;
@@ -85,20 +88,12 @@ class Simulation {
   Verifier& enableVerifier(VerifierOptions options = {});
   Verifier* verifier() { return verifier_.get(); }
 
-  // ---- static-analysis capture ---------------------------------------------
-  /// Enables communication capture for this Simulation (call before
-  /// run()); the returned Capture owns the op-graph the analysis passes
-  /// consume.  Simulations constructed under an analysis::CaptureScope are
-  /// captured automatically without this call.
-  analysis::Capture& enableCapture(analysis::CaptureOptions options = {});
-  analysis::Capture* capture() { return capture_; }
-
   // ---- observability plane ---------------------------------------------------
-  /// Enables profiling for this Simulation (call before run()).  The
-  /// profiler records the happens-before facts its critical path needs
-  /// itself, so profiling does not turn on capture.  Simulations
-  /// constructed under an obs::ProfileScope are profiled automatically
-  /// without this call.  The profile is assembled by run() and read via
+  /// Enables profiling for this Simulation (call before run()).
+  /// Simulations constructed under an obs::ProfileScope are profiled
+  /// automatically without this call, and so are those constructed under
+  /// an analysis::CaptureScope, whose op-graph run() builds from the
+  /// profiler's op log.  The profile is assembled by run() and read via
   /// profiler()->profile().
   obs::Profiler& enableProfile(obs::ProfileOptions options = {});
   obs::Profiler* profiler() { return profiler_; }
@@ -137,20 +132,25 @@ class Simulation {
   friend class AwaitAny;
   friend class AwaitCompute;
 
+  /// run() up to the profile: the rank programs, the failure and
+  /// deadlock checks and the verifier's finalize.
+  RunResult execute(const RankProgram& program);
+  /// World first, then the sub-communicators in creation (id) order.
+  std::vector<const Comm*> comms() const;
+
   /// A fresh op carrying the next per-Simulation id.
   Request newOp(const char* what, int ownerWorld, int commId);
 
   // ---- observer notifications ---------------------------------------------
-  // One point per event kind; each forwards to whichever of the verifier,
-  // capture and profiler are attached.  None schedules events.
+  // One point per event kind; each forwards to whichever of the verifier
+  // and profiler are attached.  None schedules events.
   void noteIssue(const Comm& comm, const Request& op, bool isSend);
-  /// `sendOp` is null for an eager message unless capture or profiler,
-  /// the observers that record matches, is attached.
+  /// `sendOp` is null for an eager message unless the profiler, which
+  /// records matches, is attached.
   void noteMatch(const Comm& comm, int src, int dst, int tag, double bytes,
                  const Request& sendOp, const OpState& recvOp);
-  void noteGateArrive(const Comm& comm, std::uint64_t seq, int commRank,
-                      net::CollKind kind, int root, ReduceOp rop,
-                      net::Dtype dt, double bytes, const OpState& gateOp);
+  void noteGateArrive(const Comm& comm, const Comm::CollGate& gate,
+                      int commRank, const CollSig& sig, double bytes);
   void noteGateDone(const Comm& comm, const Comm::CollGate& gate,
                     int lastRank, double duration, sim::SimTime done);
   void noteBlock(int worldRank);
@@ -189,14 +189,15 @@ class Simulation {
   std::vector<const std::vector<Request>*> pendingOpsByRank_;
   std::unique_ptr<sim::FaultPlane> faults_;
   std::unique_ptr<Verifier> verifier_;
-  // Raw pointer: either ownedCapture_ (enableCapture) or a Capture owned
-  // by the thread's active CaptureScope, which outlives the Simulation.
-  analysis::Capture* capture_ = nullptr;
-  std::unique_ptr<analysis::Capture> ownedCapture_;
-  // Raw pointer: either ownedProfiler_ (enableProfile) or a Profiler
-  // owned by the active ProfileScope, which outlives the Simulation.
+  // Raw pointer: either ownedProfiler_ (enableProfile, or a CaptureScope
+  // without a ProfileScope) or a Profiler owned by the active
+  // ProfileScope, which outlives the Simulation.
   obs::Profiler* profiler_ = nullptr;
   std::unique_ptr<obs::Profiler> ownedProfiler_;
+  // The graph slot of the analysis::CaptureScope live at construction
+  // (the scope outlives the Simulation), filled from the profiler's op
+  // log when run() returns or throws; null when no scope was live.
+  analysis::OpGraph* opGraph_ = nullptr;
   bool ran_ = false;
 };
 

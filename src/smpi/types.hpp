@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/collective_model.hpp"
 #include "support/arena.hpp"
 #include "support/expect.hpp"
 
@@ -21,7 +22,7 @@ inline constexpr int kAnyTag = -1;
 /// Reduction operator of a reduce/allreduce (MPI_Op equivalent).  Purely
 /// semantic — the timing model is operator-independent — but the runtime
 /// verifier checks that all ranks of a collective agree on it.
-enum class ReduceOp { None, Sum, Min, Max, Prod };
+enum class ReduceOp : std::uint8_t { None, Sum, Min, Max, Prod };
 
 inline const char* toString(ReduceOp op) {
   switch (op) {
@@ -33,6 +34,17 @@ inline const char* toString(ReduceOp op) {
   }
   return "?";
 }
+
+/// What every member of a collective must agree on: the runtime's gate
+/// keeps its opener's, the verifier checks each arrival against it, and
+/// the profiler and the op-graph record it per arrival.
+struct CollSig {
+  int root = -1;
+  net::CollKind kind{};
+  ReduceOp rop = ReduceOp::None;
+  net::Dtype dt{};
+};
+static_assert(sizeof(CollSig) == 8);
 
 /// Completion info for a receive (MPI_Status equivalent).
 struct RecvInfo {

@@ -28,13 +28,12 @@ std::string tagName(int tag) {
   return tag == kAnyTag ? std::string("ANY_TAG") : std::to_string(tag);
 }
 
-std::string describeCall(net::CollKind kind, int root, ReduceOp rop,
-                         net::Dtype dt, double bytes) {
+std::string describeCall(const CollSig& sig, double bytes) {
   std::ostringstream os;
-  os << net::toString(kind) << "(bytes=" << bytes
-     << ", elem=" << net::bytesOf(dt) << " B";
-  if (root >= 0) os << ", root=" << root;
-  if (rop != ReduceOp::None) os << ", op=" << toString(rop);
+  os << net::toString(sig.kind) << "(bytes=" << bytes
+     << ", elem=" << net::bytesOf(sig.dt) << " B";
+  if (sig.root >= 0) os << ", root=" << sig.root;
+  if (sig.rop != ReduceOp::None) os << ", op=" << toString(sig.rop);
   os << ")";
   return os.str();
 }
@@ -48,41 +47,35 @@ void Verifier::defect(const std::string& msg) {
   if (options_.failFast) throw VerifierError("verifier: " + msg);
 }
 
-void Verifier::onCollective(const Comm& comm, std::uint64_t seq, int commRank,
-                            net::CollKind kind, int root, ReduceOp rop,
-                            net::Dtype dt, double bytes) {
+void Verifier::onCollective(const Comm& comm, const Comm::CollGate& gate,
+                            int commRank, const CollSig& sig, double bytes) {
   ++activity_[comm.id()];
-  if (!options_.checkCollectives) return;
-  const auto key = std::make_pair(comm.id(), seq);
-  auto [it, inserted] = gates_.try_emplace(
-      key, CollSig{kind, root, rop, dt, bytes, commRank, 0});
-  CollSig& sig = it->second;
-  if (!inserted) {
-    std::ostringstream os;
-    os << "on comm " << comm.id() << ", collective #" << seq << ": "
-       << rankName(comm, commRank) << " called "
-       << describeCall(kind, root, rop, dt, bytes) << " but "
-       << rankName(comm, sig.firstRank) << " called "
-       << describeCall(sig.kind, sig.root, sig.rop, sig.dt, sig.bytes);
-    const std::string where = os.str();
-    if (sig.kind != kind) {
-      defect("collective mismatch " + where);
-    } else if (sig.root != root) {
-      defect("collective root mismatch " + where);
-    } else if (sig.rop != rop) {
-      defect("collective reduce-op mismatch " + where);
-    } else if (net::bytesOf(sig.dt) != net::bytesOf(dt)) {
-      defect("collective element-size mismatch " + where);
-    } else if (sig.bytes != bytes) {
-      defect("collective count mismatch " + where);
-    }
+  if (gate.arrived == 0) return;  // the opener: nothing to compare with
+  const CollSig& ref = gate.sig;
+  const char* what;
+  if (ref.kind != sig.kind) {
+    what = "collective mismatch";
+  } else if (ref.root != sig.root) {
+    what = "collective root mismatch";
+  } else if (ref.rop != sig.rop) {
+    what = "collective reduce-op mismatch";
+  } else if (net::bytesOf(ref.dt) != net::bytesOf(sig.dt)) {
+    what = "collective element-size mismatch";
+  } else if (gate.firstBytes != bytes) {
+    what = "collective count mismatch";
+  } else {
+    return;
   }
-  if (++sig.arrived == comm.size()) gates_.erase(it);
+  std::ostringstream os;
+  os << what << " on comm " << comm.id() << ", collective #"
+     << gate.op->collSeq << ": " << rankName(comm, commRank) << " called "
+     << describeCall(sig, bytes) << " but " << rankName(comm, gate.firstRank)
+     << " called " << describeCall(ref, gate.firstBytes);
+  defect(os.str());
 }
 
 void Verifier::onP2p(const OpState& op, bool isSend) {
   ++activity_[op.commId];
-  if (!options_.checkLeaks) return;
   std::uint32_t idx = freeReq_;
   if (idx != kNil) {
     freeReq_ = reqs_[idx].next;
@@ -125,7 +118,6 @@ void Verifier::closeReq(const OpState& op) {
 
 void Verifier::onWaitDone(const std::vector<Request>& ops,
                           std::size_t fired) {
-  if (!options_.checkLeaks) return;
   if (fired < ops.size()) {
     closeReq(*ops[fired]);
   } else {
@@ -136,7 +128,6 @@ void Verifier::onWaitDone(const std::vector<Request>& ops,
 void Verifier::onRecvMatched(const Comm& comm, int srcCommRank,
                              int dstCommRank, int tag, double expectedBytes,
                              double actualBytes) {
-  if (!options_.checkP2p) return;
   if (expectedBytes < 0 || expectedBytes == actualBytes) return;
   std::ostringstream os;
   os << "p2p count mismatch: " << rankName(comm, dstCommRank)
@@ -147,7 +138,6 @@ void Verifier::onRecvMatched(const Comm& comm, int srcCommRank,
 }
 
 void Verifier::finalize(const std::vector<const Comm*>& comms) {
-  if (!options_.checkLeaks) return;
   std::vector<std::string> leaks;
   // Ops still queued in a match table have not completed: they are
   // reported as orphaned sends / pending receives, not as leaked requests.

@@ -8,7 +8,8 @@
 //
 //  * collective call-sequence matching per communicator: every rank's
 //    n-th collective must agree on operation kind, root, reduction
-//    operator, element type, and payload size;
+//    operator, element type, and payload size with the rank that opened
+//    the runtime's gate for it (Comm::CollGate);
 //  * point-to-point count mismatches: a receive that declares an expected
 //    size (Rank::recv/irecv `expectedBytes`) must match the sender;
 //  * finalize-time leaks: messages sent but never received (orphaned
@@ -37,17 +38,12 @@
 #include <string>
 #include <vector>
 
-#include "net/collective_model.hpp"
+#include "smpi/comm.hpp"
 #include "smpi/types.hpp"
 
 namespace bgp::smpi {
 
-class Comm;
-
 struct VerifierOptions {
-  bool checkCollectives = true;
-  bool checkP2p = true;
-  bool checkLeaks = true;
   bool failFast = true;  // throw VerifierError at the first defect
 };
 
@@ -61,14 +57,11 @@ class Verifier {
  public:
   explicit Verifier(VerifierOptions options);
 
-  const VerifierOptions& options() const { return options_; }
-
   // ---- runtime hooks (called by Simulation; hot paths, keep cheap) --------
-  /// A rank arrived at its `seq`-th collective on `comm`; checks the
-  /// signature against the first arrival of that gate.
-  void onCollective(const Comm& comm, std::uint64_t seq, int commRank,
-                    net::CollKind kind, int root, ReduceOp rop,
-                    net::Dtype dt, double bytes);
+  /// Comm rank `commRank` arrived at `gate` on `comm`, calling `sig` with
+  /// `bytes`; checks them against the gate's opener.
+  void onCollective(const Comm& comm, const Comm::CollGate& gate,
+                    int commRank, const CollSig& sig, double bytes);
   /// A send/receive was created; the verifier records it until a wait
   /// consumes it.
   void onP2p(const OpState& op, bool isSend);
@@ -92,16 +85,6 @@ class Verifier {
   void report(std::ostream& os) const;
 
  private:
-  struct CollSig {
-    net::CollKind kind{};
-    int root = 0;
-    ReduceOp rop = ReduceOp::None;
-    net::Dtype dt{};
-    double bytes = 0.0;
-    int firstRank = -1;
-    int arrived = 0;
-  };
-
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
   /// What a leak report says about one request not yet waited on; the
@@ -124,9 +107,6 @@ class Verifier {
   void closeReq(const OpState& op);
 
   VerifierOptions options_;
-  // (commId, seq) -> signature of the gate's first arrival.  std::map keeps
-  // iteration deterministic for reporting.
-  std::map<std::pair<int, std::uint64_t>, CollSig> gates_;
   // Unwaited requests, one list per owning world rank in creation order.
   // A close scans only its owner's outstanding requests, and usually finds
   // its record at the head: programs mostly wait on a rank's oldest

@@ -23,14 +23,14 @@ using namespace bgp::smpi::analysis;
 
 Report captureAndAnalyze(int nranks, const RankProgram& program,
                          bool expectThrow = false) {
+  CaptureScope scope;
   Simulation sim(arch::makeBGP(), nranks);
-  Capture& capture = sim.enableCapture();
   if (expectThrow) {
     EXPECT_ANY_THROW(sim.run(program));
   } else {
     sim.run(program);
   }
-  return analyze(capture.graph());
+  return analyze(*scope.graphs().front());
 }
 
 bool hasPass(const Report& report, const std::string& pass) {
@@ -254,8 +254,8 @@ TEST(CaptureScope, CapturesSimulationsConstructedUnderIt) {
     Simulation sim(arch::makeBGP(), 4);
     sim.run([](Rank& self) -> sim::Task { co_await self.barrier(); });
   }
-  ASSERT_EQ(scope.captures().size(), 1u);
-  const Report report = analyze(scope.captures().front()->graph());
+  ASSERT_EQ(scope.graphs().size(), 1u);
+  const Report report = analyze(*scope.graphs().front());
   EXPECT_TRUE(report.clean());
   // 4 gate arrivals + 4 wait returns.
   EXPECT_EQ(report.opsAnalyzed, 8u);
@@ -263,9 +263,61 @@ TEST(CaptureScope, CapturesSimulationsConstructedUnderIt) {
 
 TEST(CaptureScope, CaptureOffRunsRecordNothing) {
   Simulation sim(arch::makeBGP(), 4);
-  EXPECT_EQ(sim.capture(), nullptr);
+  CaptureScope laterScope;  // opened after construction: not this run's
+  EXPECT_EQ(sim.profiler(), nullptr);
   sim.run([](Rank& self) -> sim::Task { co_await self.barrier(); });
-  EXPECT_EQ(sim.capture(), nullptr);
+  EXPECT_EQ(sim.profiler(), nullptr);
+  EXPECT_TRUE(laterScope.graphs().empty());
+}
+
+// The graph is built from the op log when the run ends, and a failed run
+// ends too: its issued ops must reach the scope.
+TEST(CaptureScope, DeadlockedRunStillHandsOverItsGraph) {
+  CaptureScope scope;
+  Simulation sim(arch::makeBGP(), 2);
+  EXPECT_THROW(sim.run([](Rank& self) -> sim::Task {
+                 co_await self.send(1 - self.id(), 64.0, /*tag=*/0);
+                 co_await self.recv(1 - self.id(), /*tag=*/1);  // never sent
+               }),
+               DeadlockError);
+  ASSERT_EQ(scope.graphs().size(), 1u);
+  const OpGraph& g = *scope.graphs().front();
+  EXPECT_FALSE(g.truncated());
+  // Per rank: the eager send (staged, never received), its wait, and the
+  // receive that never matched.
+  ASSERT_EQ(g.nodes().size(), 6u);
+  int sends = 0, recvs = 0, waits = 0;
+  for (const OpNode& n : g.nodes()) {
+    sends += n.kind == OpKind::Send;
+    recvs += n.kind == OpKind::Recv;
+    waits += n.kind == OpKind::Wait;
+    EXPECT_EQ(n.matched, -1);
+  }
+  EXPECT_EQ(sends, 2);
+  EXPECT_EQ(recvs, 2);
+  EXPECT_EQ(waits, 2);
+}
+
+TEST(CaptureScope, RunFailingAtVerifierFinalizeStillHandsOverItsGraph) {
+  CaptureScope scope;
+  Simulation sim(arch::makeBGP(), 2);
+  sim.enableVerifier();
+  EXPECT_THROW(sim.run([](Rank& self) -> sim::Task {
+                 if (self.id() == 0) {
+                   (void)self.isend(1, 16.0, 2);  // never waited: a leak
+                 } else {
+                   co_await self.recv(0, 2);
+                 }
+                 co_await self.barrier();
+               }),
+               VerifierError);
+  ASSERT_EQ(scope.graphs().size(), 1u);
+  OpGraph& g = *scope.graphs().front();
+  // Send, receive and its wait, two barrier arrivals and their waits.
+  EXPECT_EQ(g.nodes().size(), 7u);
+  ASSERT_NE(g.gateArrivals(0, 0), nullptr);
+  EXPECT_EQ(g.gateArrivals(0, 0)->size(), 2u);
+  EXPECT_TRUE(analyze(g).clean());
 }
 
 TEST(Scenarios, RegistryHasPaperAndStressGroups) {
@@ -291,8 +343,8 @@ TEST(Scenarios, StressSubcommScenarioAnalyzesClean) {
 }
 
 TEST(OpGraph, VectorClocksOrderMatchedSendBeforeWait) {
+  CaptureScope scope;
   Simulation sim(arch::makeBGP(), 2);
-  Capture& capture = sim.enableCapture();
   sim.run([](Rank& self) -> sim::Task {
     if (self.id() == 0) {
       co_await self.send(1, 64.0, 1);
@@ -300,7 +352,7 @@ TEST(OpGraph, VectorClocksOrderMatchedSendBeforeWait) {
       co_await self.recv(0, 1);
     }
   });
-  OpGraph& g = capture.graph();
+  OpGraph& g = *scope.graphs().front();
   g.computeClocks();
   std::int32_t send = -1, recvWait = -1;
   for (std::int32_t i = 0; i < static_cast<std::int32_t>(g.nodes().size());

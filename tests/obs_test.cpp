@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "arch/machines.hpp"
+#include "core/evaluation.hpp"
 #include "obs/breakdown.hpp"
 #include "obs/profiler.hpp"
 #include "obs/report.hpp"
@@ -258,16 +259,13 @@ TEST(Obs, ProfileScopeCapturesConstructedSimulations) {
   EXPECT_TRUE(selfCheck(p).empty());
 }
 
-// Profiling records its own happens-before facts: it builds no capture,
-// and a capture that runs out of budget under the same Simulation (as a
+// The capture reads the profiler's op log and never limits it: an
+// op-graph that runs out of budget under the same Simulation (as one of a
 // CaptureScope with a one-node budget does) leaves the profile whole.
 TEST(Obs, ProfileIsIndependentOfCapture) {
   const auto profiledJson = [] {
     Simulation sim(machineByName("BG/P"), 8);
     sim.enableProfile();
-    if (!smpi::analysis::CaptureScope::active()) {
-      EXPECT_EQ(sim.capture(), nullptr);
-    }
     sim.run(haloProgram);
     std::ostringstream os;
     writeJson(os, sim.profiler()->profile(), "halo");
@@ -278,11 +276,43 @@ TEST(Obs, ProfileIsIndependentOfCapture) {
   {
     smpi::analysis::CaptureScope scope(smpi::analysis::CaptureOptions{1});
     underScope = profiledJson();
-    ASSERT_EQ(scope.captures().size(), 1u);
-    EXPECT_TRUE(scope.captures()[0]->graph().truncated());
+    ASSERT_EQ(scope.graphs().size(), 1u);
+    EXPECT_TRUE(scope.graphs()[0]->truncated());
+    EXPECT_EQ(scope.graphs()[0]->nodes().size(), 1u);
   }
   EXPECT_NE(alone.find("\"truncated\":false"), std::string::npos);
   EXPECT_EQ(underScope, alone);
+}
+
+// The paper_sweep census: a detail-free ProfileScope around pool tasks
+// that each open a one-node CaptureScope.  Every Simulation must still
+// record into the ProfileScope, so the summed event count equals that of
+// the same runs unprofiled.
+TEST(Obs, CaptureScopesOnPoolThreadsLeaveEveryRunToTheProfileScope) {
+  constexpr std::size_t kTasks = 6;
+  const auto runOne = [](std::size_t i) {
+    Simulation sim(machineByName("BG/P"), 4 + 2 * static_cast<int>(i % 3));
+    return sim.run(haloProgram).events;
+  };
+  std::uint64_t unprofiled = 0;
+  for (std::size_t i = 0; i < kTasks; ++i) unprofiled += runOne(i);
+
+  std::uint64_t profiled = 0;
+  {
+    ProfileOptions options;
+    options.maxOps = 0;
+    ProfileScope scope(options);
+    core::parallelMap<std::uint64_t>(kTasks, [&](std::size_t i) {
+      smpi::analysis::CaptureScope capture(smpi::analysis::CaptureOptions{1});
+      return runOne(i);
+    });
+    ASSERT_EQ(scope.profilers().size(), kTasks);
+    for (const auto& prof : scope.profilers()) {
+      ASSERT_TRUE(prof->finalized());
+      profiled += prof->profile().engine.events;
+    }
+  }
+  EXPECT_EQ(profiled, unprofiled);
 }
 
 // Each rank sends, then waits for a tag nobody sends: a deadlock.
