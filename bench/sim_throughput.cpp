@@ -106,8 +106,7 @@ class BaselineEngine {
 // ---- engine churn workload -------------------------------------------------
 
 // Each stream is a self-rescheduling callback whose capture (engine ref,
-// shared stream state, counters) mirrors the runtime's real OpState
-// closures: ~40 bytes, beyond std::function's inline buffer.
+// stream state, counters) is beyond std::function's inline buffer.
 struct ChurnStream {
   Rng rng;
   explicit ChurnStream(std::uint64_t seed) : rng(seed) {}
@@ -123,8 +122,8 @@ void pumpPod(EngineT& e, ChurnStream* s, std::uint64_t* budget) {
   e.scheduleCallback(e.now() + dt, [&e, s, budget] { pumpPod(e, s, budget); });
 }
 
-// shared_ptr capture (40 bytes): the runtime's typical OpState closure,
-// adding refcount traffic on both engines.
+// shared_ptr capture (32 bytes): refcount traffic on both engines, and
+// past SmallFn's 24 inline bytes, so both engines box it.
 template <typename EngineT>
 void pumpShared(EngineT& e, const std::shared_ptr<ChurnStream>& s,
                 std::uint64_t* budget) {

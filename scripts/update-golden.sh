@@ -27,5 +27,9 @@ for b in $benches; do
     { grep -v '^\[wall\]' || true; } >"$golden/bench/$b.txt"
 done
 
+# scale_ranks prints host timings; its --golden mode prints only the
+# deterministic columns of the default sweep.
+"$build/bench/scale_ranks" --golden >"$golden/bench/scale_ranks.txt"
+
 echo "update-golden.sh: regenerated bgpprof.json smpilint.txt and" \
-     "$(echo "$benches" | wc -w) bench goldens"
+     "$(( $(echo "$benches" | wc -w) + 1 )) bench goldens"

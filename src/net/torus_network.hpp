@@ -103,9 +103,11 @@ class TorusNetwork {
   /// Total bytes-on-wire scheduled so far (diagnostics).
   double bytesRouted() const { return bytesRouted_; }
 
-  /// Route-cache effectiveness counters (diagnostics / perf harness).
-  std::uint64_t routeCacheHits() const { return routeHits_; }
-  std::uint64_t routeCacheMisses() const { return routeMisses_; }
+  /// Routing counters kept for the perf harness's `net.route_cache_*`
+  /// metrics.  Routes are generated per message (there is no cache), so
+  /// hits read 0 and misses count the routes generated.
+  std::uint64_t routeCacheHits() const { return 0; }
+  std::uint64_t routeCacheMisses() const { return routesGenerated_; }
 
  private:
   struct Walk {
@@ -117,21 +119,12 @@ class TorusNetwork {
   Walk walk(const topo::LinkId* links, std::size_t count, double bytes,
             sim::SimTime start, bool commit);
 
-  /// Returns the (src,dst) route for the given axis order (0 = XYZ,
-  /// 1 = ZYX) out of a 2-way set-associative cache.  Routes are pure
-  /// geometry, so caching cannot change timing — only skip the per-message
-  /// route recomputation and its allocation.  Each order has its own
-  /// table, so the adaptive path can hold both candidate routes at once;
-  /// on a conflict miss the LRU way is evicted and its vector capacity is
-  /// reused as scratch storage for the recomputed route.
-  const std::vector<topo::LinkId>& cachedRoute(topo::NodeId src,
-                                               topo::NodeId dst, int order);
-
-  struct RouteEntry {
-    topo::NodeId src = -1;  // -1 = empty
-    topo::NodeId dst = -1;
-    std::vector<topo::LinkId> links;
-  };
+  /// Generates the (src,dst) route for axis order `order` (0 = XYZ,
+  /// 1 = ZYX) into that order's scratch buffer.  Routes are pure geometry
+  /// and cost a few adds per hop, so they are recomputed per message: a
+  /// cache of them held more memory than the messages it routed.
+  const topo::LinkId* route(topo::NodeId src, topo::NodeId dst, int order,
+                            std::size_t& hops);
 
   topo::Torus3D torus_;
   TorusParams params_;
@@ -140,13 +133,10 @@ class TorusNetwork {
   sim::FaultPlane* faults_ = nullptr;   // not owned; null = perfect machine
   LinkObserver* observer_ = nullptr;    // not owned; null = no observation
   double bytesRouted_ = 0.0;
-  /// Per-order tables laid out as adjacent 2-way sets: set s owns entries
-  /// 2s (MRU way) and 2s+1 (LRU way); ways swap on a second-way hit.
-  /// Each table stays empty until its order routes a first message.
-  std::vector<RouteEntry> routeCache_[2];
-  std::size_t routeCacheSetMask_ = 0;
-  std::uint64_t routeHits_ = 0;
-  std::uint64_t routeMisses_ = 0;
+  /// Per-order scratch routes (maxHops() links each), so the adaptive
+  /// path can hold both candidates at once.
+  std::vector<topo::LinkId> scratch_[2];
+  std::uint64_t routesGenerated_ = 0;
 };
 
 }  // namespace bgp::net

@@ -60,13 +60,16 @@ std::uint32_t Profiler::opSlot(const smpi::OpState& op) const {
   const OpRec* r = rec(op.id);
   if (r && r->kind == OpRec::Kind::Gate)
     return collSlot(gates_[r->gate()].sig.kind);
-  return whatSlot(op.what);  // "send" / "recv" / "collective"
+  return kindSlot(op.kind);
 }
 
-std::uint32_t Profiler::whatSlot(std::string_view what) {
-  return what == "send" ? kSendSlot
-         : what == "recv" ? kRecvSlot
-                          : kCollectiveSlot;
+std::uint32_t Profiler::kindSlot(smpi::OpState::Kind kind) {
+  switch (kind) {
+    case smpi::OpState::Kind::Send: return kSendSlot;
+    case smpi::OpState::Kind::Recv: return kRecvSlot;
+    case smpi::OpState::Kind::Collective: return kCollectiveSlot;
+  }
+  return kCollectiveSlot;
 }
 
 Profiler::OpRec* Profiler::addRec(std::uint64_t id) {
@@ -106,8 +109,9 @@ void Profiler::histAdd(sim::SimTime t, double bytes) {
 // ---- runtime hooks ----------------------------------------------------------
 
 void Profiler::onP2pIssue(const smpi::Comm& comm, const smpi::OpState& op,
-                          bool isSend, sim::SimTime now) {
+                          double expectedBytes, sim::SimTime now) {
   const int rank = op.ownerWorld;
+  const bool isSend = op.kind == smpi::OpState::Kind::Send;
   SiteAgg& agg = siteAgg(rank, isSend ? kSendSlot : kRecvSlot);
   ++agg.count;
   agg.bytes += op.bytes;
@@ -122,7 +126,7 @@ void Profiler::onP2pIssue(const smpi::Comm& comm, const smpi::OpState& op,
     r->peerOrGate = comm.worldRank(op.peer);
   } else {
     r->kind = OpRec::Kind::Recv;
-    r->bytes = op.expectedBytes;
+    r->bytes = expectedBytes;
     r->peerOrGate = op.peer;
   }
   Item item;
@@ -261,7 +265,7 @@ void Profiler::onWaitDone(int rank, const std::vector<smpi::Request>& ops,
 
   const double dur = now - begin;
   if (dur > 0)
-    siteAgg(rank, release ? opSlot(*release) : whatSlot(ops.front()->what))
+    siteAgg(rank, release ? opSlot(*release) : kindSlot(ops.front()->kind))
         .blockedSeconds += dur;
 
   if (!detailed()) return;

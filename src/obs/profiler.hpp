@@ -31,7 +31,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "net/collective_model.hpp"
@@ -68,7 +67,7 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
 
   // ---- runtime hooks (called by Simulation/Rank when enabled) ----------
   void onP2pIssue(const smpi::Comm& comm, const smpi::OpState& op,
-                  bool isSend, sim::SimTime now);
+                  double expectedBytes, sim::SimTime now);
   /// A send/receive completed at `now`.
   void onComplete(const smpi::OpState& op, sim::SimTime now);
   /// A send was matched to a receive.
@@ -267,9 +266,9 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
     return kFirstCollSlot + static_cast<std::uint32_t>(kind);
   }
   /// The aggregation slot of a waited op (a recorded gate's kind, else
-  /// its OpState::what), and of an OpState::what alone.
+  /// its OpState::Kind), and of an OpState::Kind alone.
   std::uint32_t opSlot(const smpi::OpState& op) const;
-  static std::uint32_t whatSlot(std::string_view what);
+  static std::uint32_t kindSlot(smpi::OpState::Kind kind);
   void histAdd(sim::SimTime t, double bytes);
   /// Stable lowercase collective-kind name ("allreduce", ...).
   static const char* collName(net::CollKind kind);

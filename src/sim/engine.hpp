@@ -29,13 +29,13 @@
 // insert, so an event can never land in an already-drained region (such
 // inserts are routed into the sorted bottom instead).
 //
-// Event payloads live in a chunked pool of 64-byte slots (one cache line:
-// a SmallFn plus the free-list link) with stable addresses, recycled
-// through a free list; a coroutine resume is just a callback capturing the
-// handle.  The queue itself moves only 16-byte packed keys (time bits |
-// seq | slot).  A bucket frees its key storage once its keys move on, so
-// the ladder holds memory in proportion to the pending events, not to
-// every bucket ever filled.
+// Event payloads live in a chunked pool of 32-byte slots (a SmallFn; a
+// free slot parks its free-list link in the SmallFn's empty buffer) with
+// stable addresses, recycled through that free list; a coroutine resume is
+// just a callback capturing the handle.  The queue itself moves only
+// 16-byte packed keys (time bits | seq | slot).  A bucket frees its key
+// storage once its keys move on, so the ladder holds memory in proportion
+// to the pending events, not to every bucket ever filled.
 
 #include <algorithm>
 #include <bit>
@@ -180,11 +180,11 @@ class Engine {
   static constexpr std::size_t kMaxRungs = 40;  // degenerate-span guard
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-  struct alignas(64) Slot {
+  /// Two slots per cache line; a free slot's link lives in its empty fn.
+  struct alignas(32) Slot {
     SmallFn fn;
-    std::uint32_t nextFree = kNoSlot;
   };
-  static_assert(sizeof(Slot) == 64, "an event slot is one cache line");
+  static_assert(sizeof(Slot) == 32, "an event slot is half a cache line");
   /// Slots live in fixed-size chunks so their addresses survive pool
   /// growth — step() relies on that to run callbacks in place.
   static constexpr std::uint32_t kSlotChunkShift = 8;
@@ -227,7 +227,7 @@ class Engine {
   std::uint32_t acquireSlot() {
     if (freeHead_ != kNoSlot) {
       const std::uint32_t slot = freeHead_;
-      freeHead_ = slotAt(slot).nextFree;
+      freeHead_ = slotAt(slot).fn.parkedLink();
       return slot;
     }
     if (slotCount_ == chunks_.size() * kSlotChunkSize) {
@@ -238,7 +238,7 @@ class Engine {
   }
 
   void releaseSlot(std::uint32_t slot) {
-    slotAt(slot).nextFree = freeHead_;
+    slotAt(slot).fn.parkLink(freeHead_);
     freeHead_ = slot;
   }
 

@@ -8,10 +8,11 @@
 // stores captures up to kInlineBytes in place — no allocation on the
 // scheduling fast path — and falls back to a heap box only for oversized
 // or over-aligned captures.  Trivially-copyable captures relocate with a
-// plain memcpy.  At 56 bytes, a SmallFn plus the engine's free-list link
-// fill exactly one 64-byte event slot.
+// plain memcpy.  At 32 bytes a SmallFn is a whole event slot: the engine
+// parks its free-list link in an empty SmallFn's buffer.
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <new>
 #include <type_traits>
@@ -21,11 +22,11 @@ namespace bgp::sim {
 
 class SmallFn {
  public:
-  /// Sized to hold the largest capture the runtime schedules today
-  /// (`[this, &comm, 3 ints, double, Request]` = 48 bytes) inline.
-  static constexpr std::size_t kInlineBytes = 48;
+  /// Sized to hold the largest capture the runtime schedules
+  /// (`[this, &comm, Request]` = 24 bytes) inline.
+  static constexpr std::size_t kInlineBytes = 24;
   /// Captures are pointers and scalars; 8-byte alignment keeps the
-  /// object at 56 bytes (max_align_t would pad it to 64).
+  /// object at 32 bytes (max_align_t would pad it).
   static constexpr std::size_t kInlineAlign = alignof(void*);
 
   SmallFn() noexcept = default;
@@ -76,6 +77,18 @@ class SmallFn {
   void reset() noexcept {
     if (ops_ && ops_->destroy) ops_->destroy(buf_);
     ops_ = nullptr;
+  }
+
+  /// An empty SmallFn's buffer is unused: its owner may park one link
+  /// word there (the engine threads its free event slots through it).
+  /// The next emplace() overwrites it.
+  void parkLink(std::uint32_t link) noexcept {
+    std::memcpy(buf_, &link, sizeof link);
+  }
+  std::uint32_t parkedLink() const noexcept {
+    std::uint32_t link;
+    std::memcpy(&link, buf_, sizeof link);
+    return link;
   }
 
  private:
@@ -134,6 +147,6 @@ class SmallFn {
   const Ops* ops_ = nullptr;
 };
 
-static_assert(sizeof(SmallFn) == 56, "SmallFn must leave room in a 64 B slot");
+static_assert(sizeof(SmallFn) == 32, "a SmallFn is one 32 B event slot");
 
 }  // namespace bgp::sim

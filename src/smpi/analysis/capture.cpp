@@ -115,9 +115,7 @@ void buildOpGraph(const obs::Profiler& log,
     if (it.kind == Log::Item::Kind::Block) {
       for (const Log::OpId op : waited) {
         const std::int32_t t = target(log.rec(op), op, world);
-        if (t < 0) continue;
-        graph.node(id).waited.push_back(t);
-        if (graph.node(t).waitedAt < 0) graph.node(t).waitedAt = id;
+        if (t >= 0) graph.addWaited(id, t);
       }
     } else if (r->kind == Log::OpRec::Kind::Gate) {
       const Log::GateRec& g = log.gate(*r);

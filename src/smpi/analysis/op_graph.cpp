@@ -26,7 +26,16 @@ std::int32_t OpGraph::add(OpNode n) {
   }
   const auto id = static_cast<std::int32_t>(nodes_.size());
   nodes_.push_back(std::move(n));
+  waitedBegin_.push_back(static_cast<std::uint32_t>(waited_.size()));
   return id;
+}
+
+void OpGraph::addWaited(std::int32_t id, std::int32_t target) {
+  BGP_CHECK_MSG(static_cast<std::size_t>(id) + 1 == nodes_.size(),
+                "wait lists are appended for the last node only");
+  waited_.push_back(target);
+  OpNode& t = nodes_[static_cast<std::size_t>(target)];
+  if (t.waitedAt < 0) t.waitedAt = id;
 }
 
 const std::vector<std::int32_t>* OpGraph::gateArrivals(
@@ -75,7 +84,7 @@ void OpGraph::computeClocks() {
       // collectives.  All those nodes were created earlier (the engine
       // completed the ops before resuming this rank), so their rows are
       // final.
-      for (const std::int32_t opId : n.waited) {
+      for (const std::int32_t opId : waited(static_cast<std::int32_t>(i))) {
         const OpNode& op = nodes_[static_cast<std::size_t>(opId)];
         if (op.kind == OpKind::Recv && op.matched >= 0) {
           join(vc, clockRow(op.matched));
@@ -120,10 +129,11 @@ std::string OpGraph::describe(std::int32_t id) const {
       os << net::toString(n.sig.kind) << "(#" << n.collSeq;
       if (n.sig.root >= 0) os << ", root=" << n.sig.root;
       break;
-    case OpKind::Wait:
-      os << "wait(" << n.waited.size() << " op"
-         << (n.waited.size() == 1 ? "" : "s");
+    case OpKind::Wait: {
+      const std::size_t count = waited(id).size();
+      os << "wait(" << count << " op" << (count == 1 ? "" : "s");
       break;
+    }
   }
   os << ", comm " << n.commId << ")";
   return os.str();

@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,10 +57,10 @@ struct OpNode {
   std::uint64_t collSeq = 0;
   CollSig sig;
 
-  // Cross links (node ids; -1 = none).
+  // Cross links (node ids; -1 = none).  A Wait's returned ops are
+  // OpGraph::waited(id).
   std::int32_t matched = -1;   // Send <-> Recv partner, set on both sides
   std::int32_t waitedAt = -1;  // first Wait node that consumed this op
-  std::vector<std::int32_t> waited;  // Wait only: the ops it returned
 };
 
 /// Communicator membership, recorded once per communicator so findings
@@ -85,7 +86,22 @@ class OpGraph {
   /// Appends a node (after every node it depends on); returns its id, or
   /// -1 and marks the graph truncated once it holds maxNodes.
   std::int32_t add(OpNode n);
-  void reserve(std::size_t n) { nodes_.reserve(std::min(n, maxNodes_)); }
+  void reserve(std::size_t n) {
+    nodes_.reserve(std::min(n, maxNodes_));
+    waitedBegin_.reserve(std::min(n, maxNodes_));
+  }
+
+  /// The ops Wait node `id` returned, in wait-list order.
+  std::span<const std::int32_t> waited(std::int32_t id) const {
+    const auto i = static_cast<std::size_t>(id);
+    const std::uint32_t end = i + 1 < waitedBegin_.size()
+                                  ? waitedBegin_[i + 1]
+                                  : static_cast<std::uint32_t>(waited_.size());
+    return {waited_.data() + waitedBegin_[i], end - waitedBegin_[i]};
+  }
+  /// Records that Wait node `id` — the last node added — returned op node
+  /// `target`, and makes it `target`'s waitedAt if that is still unset.
+  void addWaited(std::int32_t id, std::int32_t target);
 
   /// Arrival node ids of collective gate (commId, collSeq), the opener's
   /// first.
@@ -136,6 +152,10 @@ class OpGraph {
   std::size_t maxNodes_;
   bool truncated_ = false;
   std::vector<OpNode> nodes_;
+  // CSR wait lists: node i's returned ops are waited_[waitedBegin_[i] ..
+  // waitedBegin_[i + 1]) — only Wait nodes have any.
+  std::vector<std::uint32_t> waitedBegin_;
+  std::vector<std::int32_t> waited_;
   std::map<std::pair<int, std::uint64_t>, std::vector<std::int32_t>> gates_;
   std::map<int, CommInfo> comms_;
   std::vector<std::uint32_t> clocks_;  // nodes x nranks, row-major

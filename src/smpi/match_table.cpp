@@ -55,6 +55,25 @@ std::uint32_t MatchTable::findOrCreateBucket(int dst, int src, int tag) {
   }
 }
 
+void MatchTable::eraseIfEmpty(std::uint32_t i) {
+  if (buckets_[i].postedHead != kNil || buckets_[i].stagedHead != kNil)
+    return;
+  // Backward-shift deletion: walk the probe run after the hole; a member
+  // whose home slot does not lie cyclically in (hole, j] may move into
+  // the hole, which then moves to j.
+  std::size_t hole = i;
+  for (std::size_t j = (hole + 1) & bucketMask_; buckets_[j].dst != -1;
+       j = (j + 1) & bucketMask_) {
+    const Bucket& b = buckets_[j];
+    const std::size_t home = hashKey(b.dst, b.src, b.tag) & bucketMask_;
+    if (((j - home) & bucketMask_) < ((j - hole) & bucketMask_)) continue;
+    buckets_[hole] = b;
+    hole = j;
+  }
+  buckets_[hole] = Bucket{};
+  --bucketsUsed_;
+}
+
 void MatchTable::grow() {
   std::vector<Bucket> old = std::move(buckets_);
   buckets_.assign(old.size() * 2, Bucket{});
@@ -80,7 +99,6 @@ std::uint32_t MatchTable::allocPosted() {
 void MatchTable::freePosted(std::uint32_t idx) {
   PostedNode& n = posted_[idx];
   n.op = nullptr;  // drop the Request reference now, not at pool reuse
-  n.live = false;
   n.next = postedFree_;
   postedFree_ = idx;
 }
@@ -98,22 +116,22 @@ std::uint32_t MatchTable::allocStaged() {
 void MatchTable::freeStaged(std::uint32_t idx) {
   StagedNode& n = staged_[idx];
   n.msg = Staged{};  // drop the sendOp reference
-  n.live = false;
   n.keyNext = stagedFree_;
   stagedFree_ = idx;
 }
 
 void MatchTable::addPosted(int dst, int srcWanted, int tagWanted,
-                           Request op) {
+                           Request op, double expectedBytes) {
   const std::uint32_t idx = allocPosted();
   PostedNode& n = posted_[idx];
   n.op = std::move(op);
   n.seq = nextPostSeq_++;
+  n.expectedBytes = expectedBytes;
   n.dst = dst;
   n.src = srcWanted;
   n.tag = tagWanted;
   n.next = kNil;
-  n.live = true;
+  if (srcWanted == kAnySource || tagWanted == kAnyTag) ++wildcardPosted_;
   const std::uint32_t bi = findOrCreateBucket(dst, srcWanted, tagWanted);
   Bucket& b = buckets_[bi];
   if (b.postedTail == kNil) {
@@ -124,32 +142,37 @@ void MatchTable::addPosted(int dst, int srcWanted, int tagWanted,
   }
 }
 
-Request MatchTable::takePostedMatch(int dst, int src, int tag) {
-  // The four wanted keys an incoming (src, tag) message can match.
+Request MatchTable::takePostedMatch(int dst, int src, int tag,
+                                    double* expectedBytes) {
+  // The four wanted keys an incoming (src, tag) message can match; with
+  // no wildcard receive posted only the concrete one can hold a receive.
   const int srcs[2] = {src, kAnySource};
   const int tags[2] = {tag, kAnyTag};
-  Bucket* best = nullptr;
+  const int shapes = wildcardPosted_ == 0 ? 1 : 4;
+  std::uint32_t best = kNil;
   std::uint64_t bestSeq = 0;
-  for (int si = 0; si < 2; ++si) {
-    for (int ti = 0; ti < 2; ++ti) {
-      const std::uint32_t bi = findBucket(dst, srcs[si], tags[ti]);
-      if (bi == kNil) continue;
-      Bucket& b = buckets_[bi];
-      if (b.postedHead == kNil) continue;
-      const std::uint64_t seq = posted_[b.postedHead].seq;
-      if (best == nullptr || seq < bestSeq) {
-        best = &b;
-        bestSeq = seq;
-      }
+  for (int k = 0; k < shapes; ++k) {
+    const std::uint32_t bi = findBucket(dst, srcs[k >> 1], tags[k & 1]);
+    if (bi == kNil) continue;
+    const std::uint32_t head = buckets_[bi].postedHead;
+    if (head == kNil) continue;
+    const std::uint64_t seq = posted_[head].seq;
+    if (best == kNil || seq < bestSeq) {
+      best = bi;
+      bestSeq = seq;
     }
   }
-  if (best == nullptr) return nullptr;
-  const std::uint32_t idx = best->postedHead;
+  if (best == kNil) return nullptr;
+  Bucket& b = buckets_[best];
+  const std::uint32_t idx = b.postedHead;
   PostedNode& n = posted_[idx];
-  best->postedHead = n.next;
-  if (best->postedHead == kNil) best->postedTail = kNil;
+  b.postedHead = n.next;
+  if (b.postedHead == kNil) b.postedTail = kNil;
+  if (n.src == kAnySource || n.tag == kAnyTag) --wildcardPosted_;
+  if (expectedBytes) *expectedBytes = n.expectedBytes;
   Request op = std::move(n.op);
   freePosted(idx);
+  eraseIfEmpty(best);
   return op;
 }
 
@@ -159,7 +182,6 @@ void MatchTable::addStaged(int dst, Staged msg) {
   n.msg = std::move(msg);
   n.dst = dst;
   n.keyNext = kNil;
-  n.live = true;
   const std::uint32_t bi = findOrCreateBucket(dst, n.msg.src, n.msg.tag);
   Bucket& b = buckets_[bi];
   if (b.stagedTail == kNil) {
@@ -226,6 +248,7 @@ bool MatchTable::takeStagedMatch(int dst, int srcWanted, int tagWanted,
   detachStaged(buckets_[bi], idx);
   out = std::move(staged_[idx].msg);
   freeStaged(idx);
+  eraseIfEmpty(bi);
   return true;
 }
 
@@ -247,7 +270,7 @@ std::vector<MatchTable::PostedLeak> MatchTable::postedLeaks() const {
   // the per-destination FIFO enumeration the leak reports promise.
   std::vector<std::pair<std::uint64_t, PostedLeak>> live;
   for (const PostedNode& n : posted_) {
-    if (!n.live) continue;
+    if (!n.op) continue;
     live.push_back({n.seq, PostedLeak{n.dst, n.src, n.tag, n.op->id}});
   }
   std::sort(live.begin(), live.end(),

@@ -27,6 +27,10 @@
 //    first match — the seed's scan order verbatim.  Both removals are
 //    head-pops of the victim's key queue: the earliest arrival-list match
 //    with key K is necessarily the earliest K arrival.
+//  * A key whose two queues are both empty is erased (backward-shift
+//    deletion, no tombstones), so the table holds live keys only, and the
+//    three wildcard keys are probed only while a wildcard receive is
+//    posted: a key without a posted receive cannot win the minimum.
 
 #include <cstdint>
 #include <vector>
@@ -53,11 +57,16 @@ class MatchTable {
   };
 
   /// Appends a posted receive under its wanted (possibly wildcard) key.
-  void addPosted(int dst, int srcWanted, int tagWanted, Request op);
+  /// `expectedBytes` is the receive's declared size (< 0 = none), handed
+  /// back by takePostedMatch for the verifier's count check.
+  void addPosted(int dst, int srcWanted, int tagWanted, Request op,
+                 double expectedBytes = -1.0);
 
   /// Removes and returns the earliest posted receive matching an incoming
-  /// (src, tag) message at `dst`, or null if none matches.
-  Request takePostedMatch(int dst, int src, int tag);
+  /// (src, tag) message at `dst`, or null if none matches; stores the
+  /// receive's declared size in `*expectedBytes` when given.
+  Request takePostedMatch(int dst, int src, int tag,
+                          double* expectedBytes = nullptr);
 
   /// Stages an arrived message (no matching receive was posted).
   void addStaged(int dst, Staged msg);
@@ -86,22 +95,27 @@ class MatchTable {
   std::vector<StagedLeak> stagedLeaks() const;
   std::vector<PostedLeak> postedLeaks() const;
 
+  /// Keys currently in the table: one per (dst, src, tag) with a queued
+  /// receive or message.
+  std::size_t keys() const { return bucketsUsed_; }
+  /// Posted receives with a wildcard source or tag still queued.
+  std::size_t wildcardPosted() const { return wildcardPosted_; }
+
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
   struct PostedNode {
-    Request op;
+    Request op;  // null = free
     std::uint64_t seq = 0;  // global post order
+    double expectedBytes = -1.0;
     int dst = -1, src = -1, tag = -1;
     std::uint32_t next = kNil;  // key-queue FIFO link
-    bool live = false;
   };
   struct StagedNode {
     Staged msg;
     int dst = -1;
     std::uint32_t keyNext = kNil;          // key-queue FIFO link
     std::uint32_t dstPrev = kNil, dstNext = kNil;  // per-dst arrival list
-    bool live = false;
   };
   struct Bucket {
     int dst = -1;  // -1 = empty slot (dst is always >= 0 for real keys)
@@ -117,6 +131,9 @@ class MatchTable {
   /// Index of the bucket for the key, inserting (and growing) if needed.
   std::uint32_t findOrCreateBucket(int dst, int src, int tag);
   void grow();
+  /// Erases bucket `i` if both its queues are empty, shifting later
+  /// members of its probe run back so lookups need no tombstones.
+  void eraseIfEmpty(std::uint32_t i);
 
   std::uint32_t allocPosted();
   void freePosted(std::uint32_t idx);
@@ -128,7 +145,8 @@ class MatchTable {
 
   std::vector<Bucket> buckets_;  // power-of-two sized, linear probing
   std::size_t bucketMask_ = 0;
-  std::size_t bucketsUsed_ = 0;  // keys are never erased -> no tombstones
+  std::size_t bucketsUsed_ = 0;
+  std::size_t wildcardPosted_ = 0;
 
   std::vector<PostedNode> posted_;
   std::vector<StagedNode> staged_;

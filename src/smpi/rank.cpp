@@ -1,7 +1,5 @@
 #include "smpi/rank.hpp"
 
-#include <string_view>
-
 #include "smpi/simulation.hpp"
 
 namespace bgp::smpi {
@@ -29,11 +27,11 @@ void AwaitOps::await_suspend(std::coroutine_handle<> h) {
     sim_->engine().schedule(sim_->engine().now(), h);
     return;
   }
-  rank_->sim_->blockedOnOf(rank_->id_) = ops_.front()->what;
+  rank_->sim_->blockedOnOf(rank_->id_) = toString(ops_.front()->kind);
   rank_->sim_->pendingOpsOf(rank_->id_) = &ops_;
   h_ = h;
   blockStart_ = sim_->engine().now();
-  collective_ = std::string_view(ops_.front()->what) == "collective";
+  collective_ = ops_.front()->kind == OpState::Kind::Collective;
   sim_->noteBlock(rank_->id_);
   for (const auto& op : ops_)
     if (!op->complete) op->onComplete(Waiter{&AwaitOps::onOpComplete, this});
@@ -58,7 +56,7 @@ void AwaitOps::onOpComplete(void* self, OpState&) {
 
 RecvInfo AwaitOps::await_resume() const {
   sim_->noteWaitDone(rank_->id_, ops_, ops_.size());
-  return ops_.front()->info;
+  return ops_.front()->info();
 }
 
 // ---- AwaitAny ---------------------------------------------------------------

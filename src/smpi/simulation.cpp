@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
-#include <string_view>
 #include <unordered_map>
 
 #include "smpi/analysis/capture.hpp"
@@ -247,11 +246,10 @@ Simulation::Profile Simulation::profile() const {
 
 std::string Simulation::describeOp(const OpState& op) {
   std::ostringstream os;
-  const std::string_view what = op.what;
-  os << what << "(";
-  if (what == "collective") {
+  os << toString(op.kind) << "(";
+  if (op.kind == OpState::Kind::Collective) {
     os << "#" << op.collSeq;
-  } else if (what == "send") {
+  } else if (op.kind == OpState::Kind::Send) {
     os << "dst=" << op.peer << ", tag=" << op.tag;
   } else {
     os << "src="
@@ -287,7 +285,7 @@ std::string Simulation::deadlockCycleReport() const {
       const Comm* comm = commById(op->commId);
       if (!comm) continue;
       int next = -1;
-      if (std::string_view(op->what) == "collective") {
+      if (op->kind == OpState::Kind::Collective) {
         for (int cr = 0; cr < comm->size(); ++cr) {
           const int w = comm->worldRank(cr);
           if (w != static_cast<int>(i) &&
@@ -336,10 +334,10 @@ std::string Simulation::deadlockCycleReport() const {
   return {};
 }
 
-Request Simulation::newOp(const char* what, int ownerWorld, int commId) {
+Request Simulation::newOp(OpState::Kind kind, int ownerWorld, int commId) {
   Request op = makeOpState();
   op->id = nextOpId_++;
-  op->what = what;
+  op->kind = kind;
   op->ownerWorld = ownerWorld;
   op->commId = commId;
   return op;
@@ -347,17 +345,17 @@ Request Simulation::newOp(const char* what, int ownerWorld, int commId) {
 
 // ---- observer notifications -------------------------------------------------
 
-void Simulation::noteIssue(const Comm& comm, const Request& op, bool isSend) {
-  if (verifier_) verifier_->onP2p(*op, isSend);
-  if (profiler_) profiler_->onP2pIssue(comm, *op, isSend, engine_.now());
+void Simulation::noteIssue(const Comm& comm, const OpState& op,
+                           double expectedBytes) {
+  if (verifier_) verifier_->onP2p(op);
+  if (profiler_) profiler_->onP2pIssue(comm, op, expectedBytes, engine_.now());
 }
 
 void Simulation::noteMatch(const Comm& comm, int src, int dst, int tag,
-                           double bytes, const Request& sendOp,
-                           const OpState& recvOp) {
+                           double bytes, double expectedBytes,
+                           const Request& sendOp, const OpState& recvOp) {
   if (verifier_)
-    verifier_->onRecvMatched(comm, src, dst, tag, recvOp.expectedBytes,
-                             bytes);
+    verifier_->onRecvMatched(comm, src, dst, tag, expectedBytes, bytes);
   if (sendOp && profiler_) profiler_->onMatch(*sendOp, recvOp);
 }
 
@@ -399,21 +397,26 @@ void Simulation::noteComplete(const OpState& op) {
 }
 
 // ---- point-to-point -----------------------------------------------------------
+//
+// The event callbacks capture at most the Simulation, the communicator and
+// one op (SmallFn's 24 inline bytes): a message's source, tag and size are
+// read back from the send op, and a receive's RecvInfo is written into its
+// op when it matches.
 
 Request Simulation::startSend(int worldSrc, Comm& comm, int dstCommRank,
                               double bytes, int tag) {
   BGP_REQUIRE(bytes >= 0);
   BGP_REQUIRE_MSG(tag >= 0, "tags must be non-negative");
-  const int srcCommRank = comm.commRankOf(worldSrc);
-  BGP_REQUIRE_MSG(srcCommRank >= 0, "sender not in communicator");
+  BGP_REQUIRE_MSG(comm.commRankOf(worldSrc) >= 0,
+                  "sender not in communicator");
   BGP_REQUIRE_MSG(dstCommRank >= 0 && dstCommRank < comm.size(),
                   "destination rank out of range");
   checkAlive(worldSrc);
-  Request op = newOp("send", worldSrc, comm.id());
+  Request op = newOp(OpState::Kind::Send, worldSrc, comm.id());
   op->peer = dstCommRank;
   op->tag = tag;
   op->bytes = bytes;
-  noteIssue(comm, op, /*isSend=*/true);
+  noteIssue(comm, *op);
 
   const int worldDst = comm.worldRank(dstCommRank);
   const topo::NodeId srcNode = system_->nodeOf(worldSrc);
@@ -426,56 +429,66 @@ Request Simulation::startSend(int worldSrc, Comm& comm, int dstCommRank,
       noteComplete(*op);
       op->finish();
     });
-    // Unless the profiler records matches, the arrival callback holds no
-    // reference to the send, so the op is freed at injection.
-    Request matchOp = profiler_ ? op : nullptr;
-    engine_.scheduleCallback(
-        tr.arrival,
-        [this, &comm, srcCommRank, dstCommRank, tag, bytes, matchOp] {
-          deliverEager(comm, srcCommRank, dstCommRank, tag, bytes, matchOp);
-        });
+    engine_.scheduleCallback(tr.arrival, [this, &comm, op] {
+      deliverEager(comm, op);
+    });
   } else {
     // Rendezvous: a small ready-to-send control message travels first; the
     // payload only moves once the receiver has posted a matching receive.
     const double rtsLat =
         system_->torusNetwork().latencyEstimate(srcNode, dstNode, 64);
-    engine_.scheduleCallback(
-        engine_.now() + rtsLat,
-        [this, &comm, srcCommRank, dstCommRank, tag, bytes, op] {
-          arriveRts(comm, srcCommRank, dstCommRank, tag, bytes, op);
-        });
+    engine_.scheduleCallback(engine_.now() + rtsLat,
+                             [this, &comm, op] { arriveRts(comm, op); });
   }
   return op;
 }
 
-void Simulation::deliverEager(Comm& comm, int src, int dst, int tag,
-                              double bytes, Request sendOp) {
-  if (Request op = comm.match_.takePostedMatch(dst, src, tag)) {
-    noteMatch(comm, src, dst, tag, bytes, sendOp, *op);
-    op->info = RecvInfo{src, tag, bytes};
+void Simulation::deliverEager(Comm& comm, const Request& sendOp) {
+  const int src = comm.commRankOf(sendOp->ownerWorld);
+  const int dst = sendOp->peer;
+  double expectedBytes = -1.0;
+  if (Request op = comm.match_.takePostedMatch(dst, src, sendOp->tag,
+                                               &expectedBytes)) {
+    matchRecv(comm, src, dst, sendOp->tag, sendOp->bytes, expectedBytes,
+              sendOp, *op);
     noteComplete(*op);
     op->finish();
     return;
   }
+  // Unless the profiler records matches, a staged eager message holds no
+  // reference to its send, which completed at injection.
   comm.match_.addStaged(
-      dst, MatchTable::Staged{src, tag, bytes, false, std::move(sendOp),
-                              engine_.now()});
+      dst, MatchTable::Staged{src, sendOp->tag, sendOp->bytes, false,
+                              profiler_ ? sendOp : nullptr, engine_.now()});
 }
 
-void Simulation::arriveRts(Comm& comm, int src, int dst, int tag,
-                           double bytes, Request sendOp) {
-  if (Request recvOp = comm.match_.takePostedMatch(dst, src, tag)) {
-    noteMatch(comm, src, dst, tag, bytes, sendOp, *recvOp);
-    startRendezvousData(comm, src, dst, tag, bytes, sendOp, recvOp);
+void Simulation::arriveRts(Comm& comm, const Request& sendOp) {
+  const int src = comm.commRankOf(sendOp->ownerWorld);
+  const int dst = sendOp->peer;
+  double expectedBytes = -1.0;
+  if (Request recvOp = comm.match_.takePostedMatch(dst, src, sendOp->tag,
+                                                   &expectedBytes)) {
+    matchRecv(comm, src, dst, sendOp->tag, sendOp->bytes, expectedBytes,
+              sendOp, *recvOp);
+    startRendezvousData(comm, src, dst, sendOp, recvOp);
     return;
   }
   comm.match_.addStaged(
-      dst, MatchTable::Staged{src, tag, bytes, true, std::move(sendOp),
+      dst, MatchTable::Staged{src, sendOp->tag, sendOp->bytes, true, sendOp,
                               engine_.now()});
 }
 
-void Simulation::startRendezvousData(Comm& comm, int src, int dst, int tag,
-                                     double bytes, const Request& sendOp,
+void Simulation::matchRecv(const Comm& comm, int src, int dst, int tag,
+                           double bytes, double expectedBytes,
+                           const Request& sendOp, OpState& recvOp) {
+  noteMatch(comm, src, dst, tag, bytes, expectedBytes, sendOp, recvOp);
+  recvOp.peer = src;
+  recvOp.tag = tag;
+  recvOp.bytes = bytes;
+}
+
+void Simulation::startRendezvousData(Comm& comm, int src, int dst,
+                                     const Request& sendOp,
                                      const Request& recvOp) {
   const topo::NodeId srcNode = system_->nodeOf(comm.worldRank(src));
   const topo::NodeId dstNode = system_->nodeOf(comm.worldRank(dst));
@@ -483,14 +496,13 @@ void Simulation::startRendezvousData(Comm& comm, int src, int dst, int tag,
   const double ctsLat =
       system_->torusNetwork().latencyEstimate(dstNode, srcNode, 64);
   const sim::SimTime dataStart = engine_.now() + ctsLat;
-  const auto tr =
-      system_->torusNetwork().transfer(srcNode, dstNode, bytes, dataStart);
+  const auto tr = system_->torusNetwork().transfer(srcNode, dstNode,
+                                                   sendOp->bytes, dataStart);
   engine_.scheduleCallback(tr.injected, [this, sendOp] {
     noteComplete(*sendOp);
     sendOp->finish();
   });
-  engine_.scheduleCallback(tr.arrival, [this, recvOp, src, tag, bytes] {
-    recvOp->info = RecvInfo{src, tag, bytes};
+  engine_.scheduleCallback(tr.arrival, [this, recvOp] {
     noteComplete(*recvOp);
     recvOp->finish();
   });
@@ -504,26 +516,24 @@ Request Simulation::postRecv(int worldDst, Comm& comm, int srcWanted,
                       (srcWanted >= 0 && srcWanted < comm.size()),
                   "source rank out of range");
   checkAlive(worldDst);
-  Request op = newOp("recv", worldDst, comm.id());
+  Request op = newOp(OpState::Kind::Recv, worldDst, comm.id());
   op->peer = srcWanted;
   op->tag = tagWanted;
-  op->expectedBytes = expectedBytes;
-  noteIssue(comm, op, /*isSend=*/false);
+  noteIssue(comm, *op, expectedBytes);
 
   MatchTable::Staged msg;
   if (comm.match_.takeStagedMatch(dst, srcWanted, tagWanted, msg)) {
-    noteMatch(comm, msg.src, dst, msg.tag, msg.bytes, msg.sendOp, *op);
+    matchRecv(comm, msg.src, dst, msg.tag, msg.bytes, expectedBytes,
+              msg.sendOp, *op);
     if (msg.rendezvous) {
-      startRendezvousData(comm, msg.src, dst, msg.tag, msg.bytes, msg.sendOp,
-                          op);
+      startRendezvousData(comm, msg.src, dst, msg.sendOp, op);
     } else {
-      op->info = RecvInfo{msg.src, msg.tag, msg.bytes};
       noteComplete(*op);
       op->finish();
     }
     return op;
   }
-  comm.match_.addPosted(dst, srcWanted, tagWanted, op);
+  comm.match_.addPosted(dst, srcWanted, tagWanted, op, expectedBytes);
   return op;
 }
 
@@ -544,7 +554,8 @@ Request Simulation::joinCollective(Comm& comm, int commRank,
     // and the waiter registration order *is* the arrival order, so
     // a single finish() resumes the members in exactly the sequence the
     // seed's per-rank fan-out produced — at the same simulated time.
-    gate.op = newOp("collective", comm.worldRank(commRank), comm.id());
+    gate.op = newOp(OpState::Kind::Collective, comm.worldRank(commRank),
+                    comm.id());
     gate.op->collSeq = seq;
   }
   // Before the gate's contract check below: a divergent arrival must land

@@ -139,16 +139,19 @@ class Simulation {
   std::vector<const Comm*> comms() const;
 
   /// A fresh op carrying the next per-Simulation id.
-  Request newOp(const char* what, int ownerWorld, int commId);
+  Request newOp(OpState::Kind kind, int ownerWorld, int commId);
 
   // ---- observer notifications ---------------------------------------------
   // One point per event kind; each forwards to whichever of the verifier
   // and profiler are attached.  None schedules events.
-  void noteIssue(const Comm& comm, const Request& op, bool isSend);
-  /// `sendOp` is null for an eager message unless the profiler, which
-  /// records matches, is attached.
+  /// `expectedBytes`: a receive's declared size (< 0 = none).
+  void noteIssue(const Comm& comm, const OpState& op,
+                 double expectedBytes = -1.0);
+  /// `sendOp` is null for a staged eager message unless the profiler,
+  /// which records matches, is attached.
   void noteMatch(const Comm& comm, int src, int dst, int tag, double bytes,
-                 const Request& sendOp, const OpState& recvOp);
+                 double expectedBytes, const Request& sendOp,
+                 const OpState& recvOp);
   void noteGateArrive(const Comm& comm, const Comm::CollGate& gate,
                       int commRank, const CollSig& sig, double bytes);
   void noteGateDone(const Comm& comm, const Comm::CollGate& gate,
@@ -162,13 +165,15 @@ class Simulation {
   /// A send/receive is about to finish() (gates report via noteGateDone).
   void noteComplete(const OpState& op);
 
-  void deliverEager(Comm& comm, int src, int dst, int tag, double bytes,
-                    Request sendOp);
-  void arriveRts(Comm& comm, int src, int dst, int tag, double bytes,
-                 Request sendOp);
-  void startRendezvousData(Comm& comm, int src, int dst, int tag,
-                           double bytes, const Request& sendOp,
-                           const Request& recvOp);
+  void deliverEager(Comm& comm, const Request& sendOp);
+  void arriveRts(Comm& comm, const Request& sendOp);
+  /// Notes the match of message (src -> dst, tag, bytes) with `recvOp`
+  /// and writes the message's RecvInfo into it.
+  void matchRecv(const Comm& comm, int src, int dst, int tag, double bytes,
+                 double expectedBytes, const Request& sendOp,
+                 OpState& recvOp);
+  void startRendezvousData(Comm& comm, int src, int dst,
+                           const Request& sendOp, const Request& recvOp);
   /// "rank 3: recv(src=1, tag=7, comm 0)" for wait-chain reports.
   static std::string describeOp(const OpState& op);
   /// Appends a wait-for-graph cycle (if one exists) to deadlock reports.

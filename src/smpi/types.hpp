@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -77,11 +78,14 @@ struct Waiter {
 /// State of one in-flight operation (send, recv, or collective slot).
 /// Completion fires the registered waiters in registration order; they
 /// resume awaiting coroutines via the engine at the current simulated
-/// time.  Lives in the creating thread's arena and is reference-counted
-/// by Request handles (non-atomically: a Simulation and its ops are
-/// confined to one thread at a time).
+/// time.  Lives in the creating thread's arena, one 64-byte granule, and
+/// is reference-counted by Request handles (non-atomically: a Simulation
+/// and its ops are confined to one thread at a time).
 struct OpState {
-  OpState() = default;
+  /// What the op stands for.
+  enum class Kind : std::uint8_t { Send, Recv, Collective };
+
+  OpState() : peer(-1), tag(-1) {}
   OpState(const OpState&) = delete;
   OpState& operator=(const OpState&) = delete;
 
@@ -98,34 +102,48 @@ struct OpState {
 
  public:
   bool complete = false;
-  RecvInfo info;
-  const char* what = "op";  // for deadlock diagnostics
+  Kind kind = Kind::Send;
 
   /// Per-Simulation creation index (0, 1, 2, ...): the key observers
   /// record ops under, so none needs to keep an op alive to tell it apart
   /// from a later one reusing its arena block.
   std::uint64_t id = 0;
 
-  // ---- diagnostics, filled at creation (wait-chain reporter, verifier) ----
-  int ownerWorld = -1;          // world rank that created the operation
-  int peer = -1;                // comm rank of the counterparty (or wildcard)
-  int tag = -1;                 // tag (or kAnyTag for receives)
-  int commId = -1;              // communicator the op runs in
-  std::uint64_t collSeq = 0;    // collective sequence number (collectives)
-  double bytes = 0.0;           // message / collective payload size
-  double expectedBytes = -1.0;  // receive: declared expectation (<0 = none)
+  // ---- filled at creation (wait-chain reporter, verifier, profiler) -------
+  int ownerWorld = -1;  // world rank that created the operation
+  int commId = -1;      // communicator the op runs in
+  union {
+    // Send: destination comm rank and tag.  Recv: the wanted source (or
+    // kAnySource) and tag (or kAnyTag) until the receive matches, then the
+    // matched message's — info() reads them back.
+    struct {
+      int peer;
+      int tag;
+    };
+    std::uint64_t collSeq;  // collective: the gate's sequence number
+  };
+  /// Send: payload size.  Recv: the matched message's size once matched.
+  /// Collective: the gate's largest payload so far.
+  double bytes = 0.0;
+
+  /// Completion info of a receive (MPI_Status equivalent); meaningful once
+  /// the receive matched, default for sends and collectives.
+  RecvInfo info() const {
+    return kind == Kind::Recv ? RecvInfo{peer, tag, bytes} : RecvInfo{};
+  }
 
   /// Registers `w` to fire on completion (immediately if already
   /// complete).  The first waiter lives inline — a p2p op has exactly one
   /// awaiter in every benchmark — and only a shared collective op (one
-  /// OpState awaited by every member rank) spills into the vector.
+  /// OpState awaited by every member rank) spills the rest out of line.
   void onComplete(Waiter w) {
     if (complete) {
       w.fire(w.ctx, *this);
     } else if (!first_.fire) {
       first_ = w;
     } else {
-      spill_.push_back(w);
+      if (!spill_) spill_ = std::make_unique<std::vector<Waiter>>();
+      spill_->push_back(w);
     }
   }
 
@@ -133,22 +151,23 @@ struct OpState {
   /// pending), keeping the others in registration order.
   void removeWaiter(Waiter w) {
     if (first_ == w) {
-      if (spill_.empty()) {
+      if (!spill_ || spill_->empty()) {
         first_ = Waiter{};
       } else {
-        first_ = spill_.front();
-        spill_.erase(spill_.begin());
+        first_ = spill_->front();
+        spill_->erase(spill_->begin());
       }
       return;
     }
-    const auto it = std::find(spill_.begin(), spill_.end(), w);
-    BGP_CHECK_MSG(it != spill_.end(), "removing an unregistered waiter");
-    spill_.erase(it);
+    BGP_CHECK_MSG(spill_, "removing an unregistered waiter");
+    const auto it = std::find(spill_->begin(), spill_->end(), w);
+    BGP_CHECK_MSG(it != spill_->end(), "removing an unregistered waiter");
+    spill_->erase(it);
   }
 
   /// Waiters registered and not yet fired (diagnostics / tests).
   std::size_t pendingWaiters() const {
-    return (first_.fire ? 1 : 0) + spill_.size();
+    return (first_.fire ? 1 : 0) + (spill_ ? spill_->size() : 0);
   }
 
   void finish() {
@@ -158,17 +177,30 @@ struct OpState {
       const Waiter w = std::exchange(first_, Waiter{});
       w.fire(w.ctx, *this);
     }
-    if (!spill_.empty()) {
-      // Registration order: first_, then spill_ front-to-back.
-      const std::vector<Waiter> ws = std::move(spill_);
-      for (const Waiter& w : ws) w.fire(w.ctx, *this);
+    if (spill_) {
+      // Registration order: first_, then the spill front-to-back.
+      const std::unique_ptr<std::vector<Waiter>> ws = std::move(spill_);
+      for (const Waiter& w : *ws) w.fire(w.ctx, *this);
     }
   }
 
  private:
   Waiter first_;
-  std::vector<Waiter> spill_;
+  std::unique_ptr<std::vector<Waiter>> spill_;  // the gates' later waiters
 };
+static_assert(sizeof(OpState) <= support::Arena::kGranule,
+              "an OpState fills one arena granule");
+
+/// "send" / "recv" / "collective": the names deadlock reports and
+/// Rank::blockedOn() use.
+inline const char* toString(OpState::Kind k) {
+  switch (k) {
+    case OpState::Kind::Send: return "send";
+    case OpState::Kind::Recv: return "recv";
+    case OpState::Kind::Collective: return "collective";
+  }
+  return "?";
+}
 
 /// Handle to a nonblocking operation (MPI_Request equivalent): an
 /// intrusive, non-atomic reference to an arena-allocated OpState.
@@ -206,7 +238,7 @@ class Request {
   OpState* p_ = nullptr;
 };
 
-/// Creates an OpState on the calling thread's arena (2 granules).
+/// Creates an OpState on the calling thread's arena (one granule).
 inline Request makeOpState() { return Request(new OpState); }
 
 /// Aggregate of every rank program that exited with an exception.  Thrown

@@ -74,7 +74,7 @@ void Verifier::onCollective(const Comm& comm, const Comm::CollGate& gate,
   defect(os.str());
 }
 
-void Verifier::onP2p(const OpState& op, bool isSend) {
+void Verifier::onP2p(const OpState& op) {
   ++activity_[op.commId];
   std::uint32_t idx = freeReq_;
   if (idx != kNil) {
@@ -84,7 +84,8 @@ void Verifier::onP2p(const OpState& op, bool isSend) {
     reqs_.emplace_back();
   }
   reqs_[idx] = OpenReq{op.id, op.peer, op.tag,
-                       static_cast<std::uint32_t>(op.commId), isSend, kNil};
+                       static_cast<std::uint32_t>(op.commId),
+                       op.kind == OpState::Kind::Send, kNil};
   const auto owner = static_cast<std::size_t>(op.ownerWorld);
   if (owner >= owners_.size()) owners_.resize(owner + 1);
   OwnerList& list = owners_[owner];

@@ -64,7 +64,7 @@ class Verifier {
                     int commRank, const CollSig& sig, double bytes);
   /// A send/receive was created; the verifier records it until a wait
   /// consumes it.
-  void onP2p(const OpState& op, bool isSend);
+  void onP2p(const OpState& op);
   /// A waitAny returned ops[fired], or (fired == ops.size()) a
   /// wait/waitAll returned `ops`: those requests are no longer leaks.
   void onWaitDone(const std::vector<Request>& ops, std::size_t fired);

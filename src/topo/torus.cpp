@@ -85,14 +85,6 @@ std::vector<LinkId> Torus3D::route(NodeId src, NodeId dst) const {
 
 std::vector<LinkId> Torus3D::routeOrdered(
     NodeId src, NodeId dst, const std::array<int, 3>& axisOrder) const {
-  std::vector<LinkId> links;
-  routeInto(src, dst, axisOrder, links);
-  return links;
-}
-
-void Torus3D::routeInto(NodeId src, NodeId dst,
-                        const std::array<int, 3>& axisOrder,
-                        std::vector<LinkId>& links) const {
   BGP_REQUIRE(src >= 0 && src < count() && dst >= 0 && dst < count());
   {
     std::array<bool, 3> seen{};
@@ -102,29 +94,59 @@ void Torus3D::routeInto(NodeId src, NodeId dst,
       seen[static_cast<std::size_t>(a)] = true;
     }
   }
-  links.clear();
-  if (src == dst) return;
-  const Coord3 target = coordOf(dst);
-  const Coord3 cur = coordOf(src);
+  std::vector<LinkId> links(static_cast<std::size_t>(maxHops()));
+  links.resize(static_cast<std::size_t>(
+      routeLinks(src, dst, axisOrder, links.data())));
+  return links;
+}
+
+int Torus3D::routeLinks(NodeId src, NodeId dst,
+                        const std::array<int, 3>& axisOrder,
+                        LinkId* out) const {
+  const Coord3 from = coordOf(src);
+  const Coord3 to = coordOf(dst);
+  const int cur[3] = {from.x, from.y, from.z};
+  const int target[3] = {to.x, to.y, to.z};
+  const NodeId stride[3] = {1, dims_[0], dims_[0] * dims_[1]};
   NodeId at = src;
-  links.reserve(static_cast<std::size_t>(hopDistance(src, dst)));
-
-  const Dir plus[3] = {Dir::XPlus, Dir::YPlus, Dir::ZPlus};
-  const Dir minus[3] = {Dir::XMinus, Dir::YMinus, Dir::ZMinus};
-  int curAxisVal[3] = {cur.x, cur.y, cur.z};
-  const int targetVal[3] = {target.x, target.y, target.z};
-
+  int hops = 0;
   for (const int axis : axisOrder) {
-    int delta = shortestDelta(axis, curAxisVal[axis], targetVal[axis]);
-    while (delta != 0) {
-      const Dir d = delta > 0 ? plus[axis] : minus[axis];
-      links.push_back(linkFrom(at, d));
-      at = neighbor(at, d);
-      delta += delta > 0 ? -1 : 1;
+    const int n = dims_[axis];
+    const NodeId step = stride[axis];
+    const NodeId wrap = step * (n - 1);  // jump from one edge to the other
+    int c = cur[axis];
+    // shortestDelta's rule, ties (exactly n/2) going positive.
+    int delta = target[axis] - c;
+    if (delta > n / 2) delta -= n;
+    if (delta < -(n - 1) / 2) delta += n;
+    if (delta > 0) {
+      const int dir = 2 * axis;  // XPlus, YPlus, ZPlus
+      for (; delta != 0; --delta) {
+        out[hops++] = at * kNumDirs + dir;
+        if (c == n - 1) {
+          at -= wrap;
+          c = 0;
+        } else {
+          at += step;
+          ++c;
+        }
+      }
+    } else {
+      const int dir = 2 * axis + 1;  // XMinus, YMinus, ZMinus
+      for (; delta != 0; ++delta) {
+        out[hops++] = at * kNumDirs + dir;
+        if (c == 0) {
+          at += wrap;
+          c = n - 1;
+        } else {
+          at -= step;
+          --c;
+        }
+      }
     }
-    curAxisVal[axis] = targetVal[axis];
   }
   BGP_CHECK(at == dst);
+  return hops;
 }
 
 std::int64_t Torus3D::bisectionLinkCount() const {

@@ -70,11 +70,17 @@ class Torus3D {
   std::vector<LinkId> routeOrdered(NodeId src, NodeId dst,
                                    const std::array<int, 3>& axisOrder) const;
 
-  /// Allocation-free variant: clears `out` and fills it with the route.
-  /// The network hot path calls this into per-cache-entry scratch buffers
-  /// whose capacity is reused across messages.
-  void routeInto(NodeId src, NodeId dst, const std::array<int, 3>& axisOrder,
-                 std::vector<LinkId>& out) const;
+  /// The route generator behind routeOrdered and the network's
+  /// per-message routing: writes the links of the (src, dst) route that
+  /// corrects axes in `axisOrder` to `out`, which must hold maxHops()
+  /// links, and returns how many it wrote.  Hops step by per-axis node
+  /// strides with wrap, so a route costs two coordinate decompositions and
+  /// no per-hop division.  Does not validate `axisOrder`.
+  int routeLinks(NodeId src, NodeId dst, const std::array<int, 3>& axisOrder,
+                 LinkId* out) const;
+
+  /// Longest minimal route on this torus, in hops.
+  int maxHops() const { return dims_[0] / 2 + dims_[1] / 2 + dims_[2] / 2; }
 
   /// The neighbor of `n` one hop in direction `d`.
   NodeId neighbor(NodeId n, Dir d) const;

@@ -303,3 +303,114 @@ TEST(MatchTable, RandomizedAgainstDequeScanOracle) {
     EXPECT_EQ(pi, postedLeaks.size());
   }
 }
+
+// ---- live keys only ---------------------------------------------------------
+
+TEST(MatchTable, DrainedTableHoldsNoKeys) {
+  // Every key is erased once both of its queues empty, whichever side
+  // drained it; backward-shift deletion keeps the remaining keys findable.
+  MatchTable t(8);
+  std::vector<Request> ops;
+  for (int dst = 0; dst < 8; ++dst)
+    for (int src = 0; src < 8; ++src) {
+      ops.push_back(makeOpState());
+      t.addPosted(dst, src, dst + src, ops.back());
+      t.addStaged(src, {dst, 100 + src, 1.0, false, nullptr, 0.0});
+    }
+  EXPECT_EQ(t.keys(), 128u);
+  std::size_t k = 0;
+  for (int dst = 0; dst < 8; ++dst)
+    for (int src = 0; src < 8; ++src, ++k) {
+      ASSERT_EQ(t.takePostedMatch(dst, src, dst + src), ops[k]);
+      MatchTable::Staged got;
+      ASSERT_TRUE(t.takeStagedMatch(src, dst, 100 + src, got));
+    }
+  EXPECT_EQ(t.keys(), 0u);
+  EXPECT_TRUE(t.postedLeaks().empty());
+  EXPECT_TRUE(t.stagedLeaks().empty());
+}
+
+TEST(MatchTable, WildcardCountReturnsToZero) {
+  MatchTable t(2);
+  Request a = makeOpState(), b = makeOpState(), c = makeOpState();
+  t.addPosted(0, kAnySource, 3, a);
+  t.addPosted(0, 1, kAnyTag, b);
+  t.addPosted(0, 1, 3, c);
+  EXPECT_EQ(t.wildcardPosted(), 2u);
+  EXPECT_EQ(t.takePostedMatch(0, 1, 3), a);
+  EXPECT_EQ(t.wildcardPosted(), 1u);
+  EXPECT_EQ(t.takePostedMatch(0, 1, 3), b);
+  EXPECT_EQ(t.wildcardPosted(), 0u);
+  // With no wildcard posted, the concrete receive is still found.
+  EXPECT_EQ(t.takePostedMatch(0, 1, 3), c);
+  EXPECT_EQ(t.keys(), 0u);
+}
+
+TEST(MatchTable, FifoOrderHoldsAfterKeyIsErasedAndRecreated) {
+  MatchTable t(2);
+  for (int round = 0; round < 3; ++round) {
+    // A concrete receive, then ANY_SOURCE, on the same destination: the
+    // message takes the concrete one (posted first), the next the
+    // wildcard; the key (1, 5) is erased and re-created every round.
+    Request concrete = makeOpState();
+    Request any = makeOpState();
+    t.addPosted(0, 1, 5, concrete);
+    t.addPosted(0, kAnySource, 5, any);
+    EXPECT_EQ(t.takePostedMatch(0, 1, 5), concrete) << "round " << round;
+    EXPECT_EQ(t.takePostedMatch(0, 1, 5), any) << "round " << round;
+    EXPECT_EQ(t.keys(), 0u);
+    // Reverse posting order: the wildcard now wins.
+    t.addPosted(0, kAnySource, 5, any);
+    t.addPosted(0, 1, 5, concrete);
+    EXPECT_EQ(t.takePostedMatch(0, 1, 5), any) << "round " << round;
+    EXPECT_EQ(t.takePostedMatch(0, 1, 5), concrete) << "round " << round;
+    // Staged side: arrival order across an erased-and-recreated key.
+    t.addStaged(0, {1, 5, 1.0, false, nullptr, 0.0});
+    t.addStaged(0, {2, 5, 2.0, false, nullptr, 0.0});
+    MatchTable::Staged got;
+    ASSERT_TRUE(t.takeStagedMatch(0, 1, 5, got));
+    t.addStaged(0, {1, 5, 3.0, false, nullptr, 0.0});
+    ASSERT_TRUE(t.takeStagedMatch(0, kAnySource, 5, got));
+    EXPECT_EQ(got.bytes, 2.0);
+    ASSERT_TRUE(t.takeStagedMatch(0, kAnySource, kAnyTag, got));
+    EXPECT_EQ(got.bytes, 3.0);
+    EXPECT_EQ(t.keys(), 0u);
+  }
+}
+
+TEST(MatchTable, LargeFanInKeepsFifoOrder) {
+  // 32,768 sources send two messages each to one destination: every
+  // source is its own key; ANY_SOURCE receives see arrival order and
+  // concrete receives their source's FIFO.
+  constexpr int kSources = 32768;
+  MatchTable t(kSources + 1);
+  const int dst = kSources;
+  for (int rep = 0; rep < 2; ++rep)
+    for (int src = 0; src < kSources; ++src)
+      t.addStaged(dst, {src, 9, rep * kSources + src + 0.0, false, nullptr,
+                        0.0});
+  EXPECT_EQ(t.keys(), static_cast<std::size_t>(kSources));
+  MatchTable::Staged got;
+  for (int src = 0; src < kSources; src += 2) {
+    ASSERT_TRUE(t.takeStagedMatch(dst, kAnySource, 9, got));
+    ASSERT_EQ(got.bytes, src + 0.0);  // earliest arrival overall
+    ASSERT_TRUE(t.takeStagedMatch(dst, src + 1, 9, got));
+    ASSERT_EQ(got.bytes, src + 1.0);  // earliest from that source
+  }
+  for (int i = 0; i < kSources; ++i) {
+    ASSERT_TRUE(t.takeStagedMatch(dst, kAnySource, kAnyTag, got));
+    ASSERT_EQ(got.bytes, kSources + i + 0.0);
+  }
+  EXPECT_EQ(t.keys(), 0u);
+  // Posted side: receives from every source, then one message each.
+  std::vector<Request> ops(kSources);
+  for (int src = 0; src < kSources; ++src) {
+    ops[static_cast<std::size_t>(src)] = makeOpState();
+    t.addPosted(dst, src, 9, ops[static_cast<std::size_t>(src)]);
+  }
+  for (int src = kSources - 1; src >= 0; --src)
+    ASSERT_EQ(t.takePostedMatch(dst, src, 9),
+              ops[static_cast<std::size_t>(src)]);
+  EXPECT_EQ(t.keys(), 0u);
+  EXPECT_EQ(t.wildcardPosted(), 0u);
+}

@@ -54,12 +54,12 @@ long residentBytes() {
 #endif
 }
 
-// Layout gates: an OpState fills at most two 64-byte arena granules, and a
-// pending event is one 64-byte cache line.
-static_assert(sizeof(bgp::smpi::OpState) <= 128,
-              "OpState outgrew two arena granules");
-static_assert(bgp::sim::Engine::slotBytes() == 64,
-              "engine event slot is no longer one cache line");
+// Layout gates: an OpState fills one 64-byte arena granule, and a pending
+// event is a 32-byte slot (half a cache line).
+static_assert(sizeof(bgp::smpi::OpState) <= 64,
+              "OpState outgrew one arena granule");
+static_assert(bgp::sim::Engine::slotBytes() == 32,
+              "engine event slot is no longer 32 bytes");
 
 bgp::net::SystemOptions vnOptions() {
   bgp::net::SystemOptions o;
@@ -77,9 +77,8 @@ TEST(MemoryFootprint, IdleWorldStaysUnderPerRankBudget) {
   if (before < 0) GTEST_SKIP() << "/proc/self/statm unavailable";
 
   constexpr int kRanks = 65536;
-  // Recorded budget: the runtime measures ~163 bytes/rank here (thin Rank
-  // handles + SoA stats + match-table arrival heads; the torus route
-  // tables are only built by the first routed message).  The budget
+  // Recorded budget: the runtime measures ~164 bytes/rank here (thin Rank
+  // handles + SoA stats + match-table arrival heads).  The budget
   // leaves ~2x headroom for allocator noise; a regression past it means
   // per-rank state crept back in — reject it, 131,072-rank worlds are
   // the point.
@@ -111,15 +110,16 @@ TEST(MemoryFootprint, RunningHaloWorldStaysUnderPerRankBudget) {
 
   // fig2's two-phase ISEND/IRECV halo on a 128x128 grid: one eager rep
   // (64 words) and one rendezvous rep (1024 words), so the peak holds
-  // coroutine frames, OpStates, pending events, ladder buckets, matching
-  // nodes and route tables all at once.
+  // coroutine frames, OpStates, pending events, ladder buckets and
+  // matching nodes all at once.
   constexpr int kSide = 128;
   constexpr int kRanks = kSide * kSide;
-  // Recorded budget: the runtime measures ~2,500 bytes/rank here (the
-  // shared_ptr-based op lifecycle before it measured ~4,460).  The budget
-  // leaves ~1.35x headroom for allocator noise and still rejects the old
-  // per-op layout.
-  constexpr double kBudgetBytesPerRank = 3400.0;
+  // Recorded budget: the runtime measures ~1,466 bytes/rank here (64-B
+  // OpStates, 32-B event slots, a match table of live keys and generated
+  // routes; the 128-B OpState / 64-B slot layout before it measured
+  // ~2,520, the shared_ptr-based op lifecycle ~4,460).  The budget leaves
+  // 1.35x headroom for allocator noise and still rejects the old layout.
+  constexpr double kBudgetBytesPerRank = 1980.0;
 
   const bgp::topo::ProcessGrid2D grid(kSide, kSide);
   auto sim = std::make_unique<bgp::smpi::Simulation>(

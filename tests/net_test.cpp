@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "arch/machines.hpp"
 #include "net/collective_model.hpp"
 #include "net/system.hpp"
@@ -306,6 +309,143 @@ TEST(System, EagerThresholdOverride) {
   opts.eagerThresholdOverride = 9999;
   net::System sys(arch::machineByName("BG/P"), 64, opts);
   EXPECT_DOUBLE_EQ(sys.eagerThreshold(), 9999);
+}
+
+// ---- generated routes -------------------------------------------------------
+// The network generates each route per message from torus coordinates.
+// The oracle below is the hop-by-hop walk it replaced: one neighbor() step
+// (a coordinate decomposition) per hop, directions from shortestDelta.
+
+std::vector<topo::LinkId> neighborWalkRoute(const topo::Torus3D& t,
+                                            topo::NodeId src,
+                                            topo::NodeId dst,
+                                            const std::array<int, 3>& order) {
+  using topo::Dir;
+  const Dir plus[3] = {Dir::XPlus, Dir::YPlus, Dir::ZPlus};
+  const Dir minus[3] = {Dir::XMinus, Dir::YMinus, Dir::ZMinus};
+  const topo::Coord3 a = t.coordOf(src);
+  const topo::Coord3 b = t.coordOf(dst);
+  const int from[3] = {a.x, a.y, a.z};
+  const int to[3] = {b.x, b.y, b.z};
+  std::vector<topo::LinkId> links;
+  topo::NodeId at = src;
+  for (const int axis : order) {
+    for (int d = t.shortestDelta(axis, from[axis], to[axis]); d != 0;
+         d += d > 0 ? -1 : 1) {
+      const Dir dir = d > 0 ? plus[axis] : minus[axis];
+      links.push_back(t.linkFrom(at, dir));
+      at = t.neighbor(at, dir);
+    }
+  }
+  EXPECT_EQ(at, dst);
+  return links;
+}
+
+const topo::Torus3D kRouteTori[] = {topo::Torus3D(1, 1, 1),
+                                    topo::Torus3D(2, 2, 2),
+                                    topo::Torus3D(3, 5, 7),
+                                    topo::Torus3D(8, 8, 16)};
+constexpr std::array<int, 3> kXyz = {0, 1, 2};
+constexpr std::array<int, 3> kZyx = {2, 1, 0};
+
+/// Records the links of committed claims, in claim order.
+class ClaimLog final : public TorusNetwork::LinkObserver {
+ public:
+  void onLinkClaim(topo::LinkId link, sim::SimTime, double, double,
+                   double) override {
+    links.push_back(link);
+  }
+  void onShmTransfer(double, sim::SimTime) override {}
+  std::vector<topo::LinkId> links;
+};
+
+TEST(GeneratedRoutes, EqualNeighborWalkForEveryPairAndAxisOrder) {
+  for (const topo::Torus3D& t : kRouteTori) {
+    const auto n = static_cast<topo::NodeId>(t.count());
+    for (topo::NodeId src = 0; src < n; ++src)
+      for (topo::NodeId dst = 0; dst < n; ++dst)
+        for (const auto& order : {kXyz, kZyx}) {
+          const auto got = t.routeOrdered(src, dst, order);
+          ASSERT_EQ(got, neighborWalkRoute(t, src, dst, order))
+              << t.describe() << " " << src << "->" << dst;
+          ASSERT_LE(got.size(), static_cast<std::size_t>(t.maxHops()));
+        }
+  }
+}
+
+TEST(GeneratedRoutes, HalfwayTiesGoPositive) {
+  // Even dims: a displacement of exactly n/2 routes in the + direction,
+  // wrapping around the edge when the source sits in the upper half.
+  const topo::Torus3D t(8, 8, 16);
+  const auto at = [&](int x, int y, int z) {
+    return t.nodeAt(topo::Coord3{x, y, z});
+  };
+  const auto tieX = t.route(at(6, 0, 0), at(2, 0, 0));  // 6 -> 7 -> 0 -> 1 -> 2
+  ASSERT_EQ(tieX.size(), 4u);
+  EXPECT_EQ(tieX.front(), t.linkFrom(at(6, 0, 0), topo::Dir::XPlus));
+  EXPECT_EQ(tieX.back(), t.linkFrom(at(1, 0, 0), topo::Dir::XPlus));
+  const auto tieZ = t.route(at(0, 0, 3), at(0, 0, 11));
+  ASSERT_EQ(tieZ.size(), 8u);
+  for (std::size_t i = 0; i < tieZ.size(); ++i)
+    EXPECT_EQ(tieZ[i], t.linkFrom(at(0, 0, 3 + static_cast<int>(i)),
+                                  topo::Dir::ZPlus));
+  // One short of the tie goes the other way round.
+  const auto back = t.route(at(0, 0, 3), at(0, 0, 12));
+  ASSERT_EQ(back.size(), 7u);
+  EXPECT_EQ(back.front(), t.linkFrom(at(0, 0, 3), topo::Dir::ZMinus));
+}
+
+TEST(GeneratedRoutes, NetworkClaimsTheGeneratedRoute) {
+  // Deterministic routing claims exactly routeOrdered's XYZ links, in
+  // order, for every pair.  Transfers start 1 s apart, long after the
+  // previous one drained.
+  for (const topo::Torus3D& t : kRouteTori) {
+    TorusNetwork net(t, simpleParams());
+    ClaimLog log;
+    net.attachObserver(&log);
+    const auto n = static_cast<topo::NodeId>(t.count());
+    double start = 0.0;
+    for (topo::NodeId src = 0; src < n; ++src)
+      for (topo::NodeId dst = 0; dst < n; ++dst) {
+        log.links.clear();
+        net.transfer(src, dst, 64.0, start += 1.0);
+        ASSERT_EQ(log.links, t.routeOrdered(src, dst, kXyz))
+            << t.describe() << " " << src << "->" << dst;
+      }
+    EXPECT_EQ(net.routeCacheHits(), 0u);
+    const auto pairs = static_cast<std::uint64_t>(n);
+    EXPECT_EQ(net.routeCacheMisses(), pairs * pairs - pairs);  // self: shm
+  }
+}
+
+TEST(GeneratedRoutes, AdaptiveRoutingPicksTheUncongestedOrder) {
+  // Idle links: the XYZ route wins ties.  Once a large message occupies
+  // it, the next message takes the ZYX route whenever that differs — two
+  // distinct minimal routes share no link, so ZYX is then strictly
+  // earlier — and stays on XYZ when both orders give the same route.
+  TorusParams p = simpleParams();
+  p.adaptiveRouting = true;
+  for (const topo::Torus3D& t : kRouteTori) {
+    TorusNetwork net(t, p);
+    ClaimLog log;
+    net.attachObserver(&log);
+    const auto n = static_cast<topo::NodeId>(t.count());
+    double start = 0.0;
+    for (topo::NodeId src = 0; src < n; ++src)
+      for (topo::NodeId dst = 0; dst < n; ++dst) {
+        if (src == dst) continue;
+        const auto xyz = t.routeOrdered(src, dst, kXyz);
+        const auto zyx = t.routeOrdered(src, dst, kZyx);
+        start += 1.0;
+        log.links.clear();
+        net.transfer(src, dst, 1e6, start);
+        ASSERT_EQ(log.links, xyz) << t.describe() << " " << src << "->" << dst;
+        log.links.clear();
+        net.transfer(src, dst, 64.0, start);
+        ASSERT_EQ(log.links, xyz == zyx ? xyz : zyx)
+            << t.describe() << " " << src << "->" << dst;
+      }
+  }
 }
 
 }  // namespace
