@@ -38,16 +38,21 @@ const char* Profiler::collName(net::CollKind kind) {
   return "collective";
 }
 
-Profiler::Profiler(smpi::Simulation& sim, ProfileOptions options)
-    : sim_(&sim), options_(options) {
+Profiler::Profiler(smpi::Simulation& sim, ProfileOptions options,
+                   bool keepLog)
+    : sim_(&sim),
+      options_(options),
+      keepLog_(keepLog),
+      eagerThresh_(sim.system().eagerThreshold()) {
   const auto n = static_cast<std::size_t>(sim.nranks());
-  items_.resize(n);
-  waitOps_.resize(n);
-  open_.assign(n, OpenBlock{});
-  overlap_.assign(n, 0.0);
+  ranks_.resize(n);
+  spans_.resize(n);
+  if (keepLog_) {
+    items_.resize(n);
+    waitOps_.resize(n);
+  }
   siteNames_.emplace_back();
   siteIndex_.emplace(std::string(), 0);
-  siteOf_.assign(n, 0);
   siteAggs_.resize(kOpSlots);
   hist_.assign(kHistBins, 0.0);
   histBinSeconds_ = 1e-6;
@@ -56,10 +61,9 @@ Profiler::Profiler(smpi::Simulation& sim, ProfileOptions options)
 
 Profiler::~Profiler() = default;
 
-std::uint32_t Profiler::opSlot(const smpi::OpState& op) const {
-  const OpRec* r = rec(op.id);
-  if (r && r->kind == OpRec::Kind::Gate)
-    return collSlot(gates_[r->gate()].sig.kind);
+std::uint32_t Profiler::opSlot(const smpi::OpState& op) {
+  const LiveOp* r = live(op.id);
+  if (r && r->kind == LiveOp::Kind::Gate) return collSlot(r->coll);
   return kindSlot(op.kind);
 }
 
@@ -72,18 +76,55 @@ std::uint32_t Profiler::kindSlot(smpi::OpState::Kind kind) {
   return kCollectiveSlot;
 }
 
-Profiler::OpRec* Profiler::addRec(std::uint64_t id) {
+Profiler::LiveOp* Profiler::addLive(std::uint64_t id, LiveOp::Kind kind) {
   if (id >= kNoOp) {
     truncated_ = true;
     return nullptr;
   }
+  const std::uint64_t c = id / kChunkOps;
+  if (c >= chunks_.size()) {
+    // Ids arrive in creation order, so the last chunk is now full.
+    if (!chunks_.empty() && chunks_.back() && chunks_.back()->live == 0)
+      chunks_.back().reset();
+    chunks_.resize(c + 1);
+    chunks_[c] = std::make_unique<Chunk>();
+  }
+  Chunk& chunk = *chunks_[c];
+  ++chunk.live;
+  opCount_ = id + 1;
+  LiveOp& op = chunk.ops[id % kChunkOps];
+  op.kind = kind;
+  return &op;
+}
+
+void Profiler::retire(std::uint64_t id, LiveOp& op) {
+  op.kind = LiveOp::Kind::None;
+  const std::uint64_t c = id / kChunkOps;
+  if (--chunks_[c]->live == 0 && c + 1 < chunks_.size()) chunks_[c].reset();
+}
+
+void Profiler::noteWaited(const smpi::OpState& op) {
+  LiveOp* r = live(op.id);
+  if (!r) return;
+  if (r->kind == LiveOp::Kind::Gate) {
+    // Every member waits on the gate once.
+    if (++r->waits == static_cast<std::uint32_t>(r->nranks)) retire(op.id, *r);
+    return;
+  }
+  // A returned op has completed; a send still hands its facts to the
+  // receive it matches.
+  r->waited = true;
+  if (r->kind == LiveOp::Kind::Recv || r->matched) retire(op.id, *r);
+}
+
+Profiler::OpRec& Profiler::addRec(std::uint64_t id) {
   if (id >= ops_.size()) ops_.resize(id + 1);
-  return &ops_[id];
+  return ops_[id];
 }
 
 void Profiler::checkBudget() {
   if (truncated_) return;
-  if (ops_.size() >= options_.maxOps || itemCount_ >= options_.maxOps * 4)
+  if (opCount_ >= options_.maxOps || itemCount_ >= options_.maxOps * 4)
     truncated_ = true;
 }
 
@@ -107,6 +148,15 @@ void Profiler::histAdd(sim::SimTime t, double bytes) {
 }
 
 // ---- runtime hooks ----------------------------------------------------------
+//
+// The what-if clocks evaluate, in causal order, the max-plus recurrence of
+// a replay that keeps the recorded dependencies and zeroes one cost class:
+// a compute advances its rank by its span (zn) or by 0.0 (zc); an issue
+// takes its rank's clocks; a p2p op completes its measured span (zc) or
+// 0.0 (zn) after its replayed cause — the send's replayed issue (eager),
+// else the later of the send's and the receive's; a gate is done its
+// duration (zc) or 0.0 (zn) after its latest replayed arrival; a wait
+// lifts its rank to the latest replayed completion it returned.
 
 void Profiler::onP2pIssue(const smpi::Comm& comm, const smpi::OpState& op,
                           double expectedBytes, sim::SimTime now) {
@@ -116,41 +166,76 @@ void Profiler::onP2pIssue(const smpi::Comm& comm, const smpi::OpState& op,
   ++agg.count;
   agg.bytes += op.bytes;
   if (!detailed()) return;
-  OpRec* r = addRec(op.id);
+  LiveOp* r =
+      addLive(op.id, isSend ? LiveOp::Kind::Send : LiveOp::Kind::Recv);
   if (!r) return;
+  const RankState& rs = ranks_[static_cast<std::size_t>(rank)];
   r->issue = now;
   r->world = rank;
+  r->zn = rs.zn;
+  r->zc = rs.zc;
   if (isSend) {
-    r->kind = OpRec::Kind::Send;
     r->bytes = op.bytes;
-    r->peerOrGate = comm.worldRank(op.peer);
-  } else {
-    r->kind = OpRec::Kind::Recv;
-    r->bytes = expectedBytes;
-    r->peerOrGate = op.peer;
+    r->peer = comm.worldRank(op.peer);
   }
-  Item item;
-  item.begin = now;
-  item.op = static_cast<OpId>(op.id);
-  item.tag = op.tag;
-  item.commId = comm.id();
-  items_[static_cast<std::size_t>(rank)].push_back(item);
+  if (keepLog_) {
+    OpRec& lr = addRec(op.id);
+    lr.issue = now;
+    lr.world = rank;
+    if (isSend) {
+      lr.kind = OpRec::Kind::Send;
+      lr.bytes = op.bytes;
+      lr.peerOrGate = r->peer;
+    } else {
+      lr.kind = OpRec::Kind::Recv;
+      lr.bytes = expectedBytes;
+      lr.peerOrGate = op.peer;
+    }
+    Item item;
+    item.begin = now;
+    item.op = static_cast<OpId>(op.id);
+    item.tag = op.tag;
+    item.commId = comm.id();
+    items_[static_cast<std::size_t>(rank)].push_back(item);
+  }
   ++itemCount_;
   checkBudget();
 }
 
 void Profiler::onComplete(const smpi::OpState& op, sim::SimTime now) {
-  OpRec* r = rec(op.id);
+  LiveOp* r = live(op.id);
   if (r && r->completion < 0) r->completion = now;
+  if (!keepLog_) return;
+  OpRec* lr = rec(op.id);
+  if (lr && lr->completion < 0) lr->completion = now;
 }
 
 void Profiler::onMatch(const smpi::OpState& sendOp,
                        const smpi::OpState& recvOp) {
-  OpRec* s = rec(sendOp.id);
-  OpRec* r = rec(recvOp.id);
+  if (keepLog_) {
+    OpRec* s = rec(sendOp.id);
+    OpRec* r = rec(recvOp.id);
+    if (s && r) {
+      s->partner = static_cast<OpId>(recvOp.id);
+      r->partner = static_cast<OpId>(sendOp.id);
+    }
+  }
+  LiveOp* s = live(sendOp.id);
+  LiveOp* r = live(recvOp.id);
   if (!s || !r) return;  // one side issued after the budget hit
-  s->partner = static_cast<OpId>(recvOp.id);
-  r->partner = static_cast<OpId>(sendOp.id);
+  s->matched = r->matched = true;
+  s->partnerIssue = r->issue;
+  r->partnerIssue = s->issue;
+  r->peer = s->world;
+  r->bytes = s->bytes;
+  if (s->bytes <= eagerThresh_) {
+    r->zn = s->zn;
+    r->zc = s->zc;
+  } else {
+    r->zn = s->zn = std::max(s->zn, r->zn);
+    r->zc = s->zc = std::max(s->zc, r->zc);
+  }
+  if (s->waited) retire(sendOp.id, *s);
 }
 
 void Profiler::onCollArrival(const smpi::Comm& comm, const smpi::OpState& op,
@@ -161,26 +246,40 @@ void Profiler::onCollArrival(const smpi::Comm& comm, const smpi::OpState& op,
   ++agg.count;
   agg.bytes += bytes;
   if (!detailed()) return;
-  if (!recorded(op.id)) {  // the gate's first arrival
-    OpRec* r = addRec(op.id);
-    if (!r) return;
-    r->issue = now;
-    r->bytes = bytes;
-    r->world = rank;
-    r->kind = OpRec::Kind::Gate;
-    r->peerOrGate = static_cast<std::int32_t>(gates_.size());
-    GateRec g;
-    g.nranks = comm.size();
-    g.commId = comm.id();
-    g.seq = op.collSeq;
-    g.sig = sig;
-    gates_.push_back(g);
+  LiveOp* g = live(op.id);
+  if (!g) {  // the gate's first arrival
+    g = addLive(op.id, LiveOp::Kind::Gate);
+    if (!g) return;
+    g->issue = now;
+    g->nranks = comm.size();
+    g->full = comm.id() == 0;
+    g->coll = sig.kind;
+    g->dt = sig.dt;
+    if (keepLog_) {
+      OpRec& lr = addRec(op.id);
+      lr.issue = now;
+      lr.bytes = bytes;
+      lr.world = rank;
+      lr.kind = OpRec::Kind::Gate;
+      lr.peerOrGate = static_cast<std::int32_t>(gates_.size());
+      GateRec gr;
+      gr.nranks = comm.size();
+      gr.commId = comm.id();
+      gr.seq = op.collSeq;
+      gr.sig = sig;
+      gates_.push_back(gr);
+    }
   }
-  Item item;
-  item.begin = now;
-  item.sig = sig;
-  item.op = static_cast<OpId>(op.id);
-  items_[static_cast<std::size_t>(rank)].push_back(item);
+  const RankState& rs = ranks_[static_cast<std::size_t>(rank)];
+  g->zn = std::max(g->zn, rs.zn);
+  g->zc = std::max(g->zc, rs.zc);
+  if (keepLog_) {
+    Item item;
+    item.begin = now;
+    item.sig = sig;
+    item.op = static_cast<OpId>(op.id);
+    items_[static_cast<std::size_t>(rank)].push_back(item);
+  }
   ++itemCount_;
   checkBudget();
 }
@@ -203,64 +302,78 @@ void Profiler::onCollComplete(const smpi::Comm& comm, const smpi::OpState& op,
     ++agg.torusGates;
   }
   if (!detailed()) return;
-  OpRec* r = rec(op.id);
-  if (!r) return;
-  GateRec& g = gates_[r->gate()];
-  g.bytes = bytes;
-  g.lastWorld = lastWorld;
-  g.lastArrival = lastArrival;
-  g.duration = duration;
-  g.done = done;
-  r->completion = done;
+  LiveOp* g = live(op.id);
+  if (!g) return;
+  g->lastArrival = lastArrival;
+  g->world = lastWorld;
+  g->duration = duration;
+  g->completion = done;
+  if (keepLog_) {
+    OpRec* r = rec(op.id);
+    gates_[r->gate()].duration = duration;
+    r->completion = done;
+  }
 }
 
 void Profiler::onCompute(int rank, sim::SimTime now, double seconds) {
   if (!detailed()) return;
-  Item item;
-  item.kind = Item::Kind::Compute;
-  item.begin = now;
-  item.end = now + seconds;
-  items_[static_cast<std::size_t>(rank)].push_back(item);
+  RankState& rs = ranks_[static_cast<std::size_t>(rank)];
+  const sim::SimTime end = now + seconds;
+  rs.zn += end - now;
+  rs.zc += 0.0;
+  if (end > now)
+    spans_[static_cast<std::size_t>(rank)].emplace_back(now, end);
+  if (keepLog_) {
+    Item item;
+    item.kind = Item::Kind::Compute;
+    item.begin = now;
+    item.end = end;
+    items_[static_cast<std::size_t>(rank)].push_back(item);
+  }
   ++itemCount_;
   checkBudget();
 }
 
 void Profiler::onBlockBegin(int rank, sim::SimTime now) {
-  open_[static_cast<std::size_t>(rank)] = OpenBlock{now, true};
+  RankState& rs = ranks_[static_cast<std::size_t>(rank)];
+  rs.blockBegin = now;
+  rs.blocked = true;
 }
 
 // Closes the open block (if any) on `rank`, computes overlap for the
-// waited ops, picks the releasing op, and appends the Block item.
+// waited ops, picks the releasing op, advances the what-if clocks, records
+// the block, and retires what the wait consumed.
 void Profiler::onWaitDone(int rank, const std::vector<smpi::Request>& ops,
                           std::size_t fired, sim::SimTime now) {
   // The releasing op: the one a waitAny returned, else the one that
   // completed last (ties: the later list position — the engine resumed
-  // us off its waiter last).
+  // us off its waiter last).  A retired op completed before an earlier
+  // wait returned, so it never releases a block of positive width.
   const bool any = fired < ops.size();
   const smpi::OpState* release = any ? ops[fired].get() : nullptr;
   sim::SimTime best = -1.0;
   for (std::size_t i = 0; !any && i < ops.size(); ++i) {
-    const OpRec* r = rec(ops[i]->id);
+    const LiveOp* r = live(ops[i]->id);
     if (r && r->completion >= 0 && r->completion >= best) {
       best = r->completion;
       release = ops[i].get();
     }
   }
 
-  OpenBlock& ob = open_[static_cast<std::size_t>(rank)];
-  const sim::SimTime begin = ob.open ? ob.begin : now;  // ready-at-await: 0-wide
-  ob.open = false;
+  RankState& rs = ranks_[static_cast<std::size_t>(rank)];
+  const sim::SimTime begin = rs.blocked ? rs.blockBegin : now;  // 0-wide
+  rs.blocked = false;
 
   // Overlap actually achieved: for each waited op, the stretch between
   // its issue and the earlier of (block start, its completion) is time
   // the op progressed while the rank did other work.  Counted once per
   // op even across waitAny revisits.
   for (const auto& op : ops) {
-    OpRec* r = rec(op->id);
+    LiveOp* r = live(op->id);
     if (!r || r->completion < 0 || r->overlapCounted) continue;
     r->overlapCounted = true;
     const double ov = std::min(begin, r->completion) - r->issue;
-    if (ov > 0) overlap_[static_cast<std::size_t>(rank)] += ov;
+    if (ov > 0) rs.overlap += ov;
   }
 
   const double dur = now - begin;
@@ -268,20 +381,124 @@ void Profiler::onWaitDone(int rank, const std::vector<smpi::Request>& ops,
     siteAgg(rank, release ? opSlot(*release) : kindSlot(ops.front()->kind))
         .blockedSeconds += dur;
 
-  if (!detailed()) return;
-  auto& wl = waitOps_[static_cast<std::size_t>(rank)];
-  Item item;
-  item.kind = Item::Kind::Block;
-  item.begin = begin;
-  item.end = now;
-  item.op = release ? static_cast<OpId>(release->id) : kNoOp;
-  item.firstWait = static_cast<std::uint32_t>(wl.size());
-  item.waitCount = static_cast<std::uint32_t>(ops.size());
-  item.any = any;
-  for (const auto& op : ops) wl.push_back(static_cast<OpId>(op->id));
-  items_[static_cast<std::size_t>(rank)].push_back(item);
-  itemCount_ += 1 + ops.size();
-  checkBudget();
+  if (detailed()) {
+    foldWhatIf(rs, ops, fired);
+    if (now > begin)
+      spans_[static_cast<std::size_t>(rank)].push_back(
+          resolveBlock(begin, now, release));
+    if (keepLog_) {
+      auto& wl = waitOps_[static_cast<std::size_t>(rank)];
+      Item item;
+      item.kind = Item::Kind::Block;
+      item.begin = begin;
+      item.end = now;
+      item.op = release ? static_cast<OpId>(release->id) : kNoOp;
+      item.firstWait = static_cast<std::uint32_t>(wl.size());
+      item.waitCount = static_cast<std::uint32_t>(ops.size());
+      item.any = any;
+      for (const auto& op : ops) wl.push_back(static_cast<OpId>(op->id));
+      items_[static_cast<std::size_t>(rank)].push_back(item);
+    }
+    itemCount_ += 1 + ops.size();
+    checkBudget();
+  }
+
+  // Only the op a waitAny returned counts as waited.
+  if (any) {
+    noteWaited(*ops[fired]);
+  } else {
+    for (const auto& op : ops) noteWaited(*op);
+  }
+}
+
+void Profiler::foldWhatIf(RankState& rs, const std::vector<smpi::Request>& ops,
+                          std::size_t fired) {
+  double untilZn = rs.zn;
+  double untilZc = rs.zc;
+  const auto fold = [&](const smpi::OpState& op) {
+    // A retired op was returned by an earlier wait, which already lifted
+    // this rank's clocks past its replayed completion.
+    const LiveOp* r = live(op.id);
+    if (!r) return;
+    if (r->completion < 0) {  // a gate that never completed
+      whatIfOk_ = false;
+      return;
+    }
+    if (r->kind == LiveOp::Kind::Gate) {
+      untilZn = std::max(untilZn, r->zn + 0.0);
+      untilZc = std::max(untilZc, r->zc + r->duration);
+      return;
+    }
+    const bool isSend = r->kind == LiveOp::Kind::Send;
+    if (!isSend && !r->matched) {  // unmatched receive: cannot replay
+      whatIfOk_ = false;
+      return;
+    }
+    // A send completed before its match was eager: a rendezvous send
+    // completes only after its receive posted.
+    const bool eager = r->bytes <= eagerThresh_ || !r->matched;
+    const sim::SimTime sendIssue = isSend ? r->issue : r->partnerIssue;
+    const sim::SimTime recvIssue = isSend ? r->partnerIssue : r->issue;
+    const double cause = eager ? sendIssue : std::max(sendIssue, recvIssue);
+    const double span = std::max(0.0, r->completion - cause);
+    untilZn = std::max(untilZn, r->zn + 0.0);
+    untilZc = std::max(untilZc, r->zc + span);
+  };
+  // A waitAny is resolved against the op that actually fired.
+  if (fired < ops.size()) {
+    fold(*ops[fired]);
+  } else {
+    for (const auto& op : ops) fold(*op);
+  }
+  rs.zn = untilZn;
+  rs.zc = untilZc;
+}
+
+Profiler::Span Profiler::resolveBlock(sim::SimTime begin, sim::SimTime end,
+                                      const smpi::OpState* release) {
+  Span s(begin, end);
+  const LiveOp* self = release ? live(release->id) : nullptr;
+  // A recorded gate that released a wait has completed, and so has a
+  // recorded receive's match — unless recording truncated in between.
+  if (!self || self->completion < 0 ||
+      (self->kind == LiveOp::Kind::Recv && !self->matched)) {
+    s.kind = Span::Kind::Unresolved;
+    return s;
+  }
+  if (self->kind == LiveOp::Kind::Gate) {
+    s.kind = Span::Kind::Gate;
+    s.cause = self->lastArrival;
+    s.lastWorld = self->world;
+    s.nranks = self->nranks;
+    s.full = self->full;
+    s.coll = self->coll;
+    s.dt = self->dt;
+    return s;
+  }
+  // Point-to-point: the causing issue is the matched partner's, if any.
+  // An eager send may return before its match; unmatched, it resolves to
+  // the same cause and costs (its destination is the receiver).
+  const bool relIsSend = self->kind == LiveOp::Kind::Send;
+  s.kind = relIsSend ? Span::Kind::Send : Span::Kind::Recv;
+  s.matched = self->matched;
+  s.bytes = self->bytes;
+  sim::SimTime sendIssue, recvPost;
+  if (relIsSend) {
+    sendIssue = self->issue;
+    s.sendWorld = self->world;
+    s.recvWorld = self->peer;
+    recvPost = self->matched ? self->partnerIssue : sendIssue;
+  } else {
+    sendIssue = self->partnerIssue;
+    s.sendWorld = self->peer;
+    recvPost = self->issue;
+    s.recvWorld = self->world;
+  }
+  const bool eager = s.bytes <= eagerThresh_;
+  // A rendezvous is gated on the receiver when it posted late.
+  s.causeIsRecv = !(eager || !s.matched || sendIssue >= recvPost);
+  s.cause = s.causeIsRecv ? recvPost : sendIssue;
+  return s;
 }
 
 // ---- net::TorusNetwork::LinkObserver ----------------------------------------
@@ -314,7 +531,7 @@ void Profiler::onShmTransfer(double bytes, sim::SimTime start) {
 // ---- labels -----------------------------------------------------------------
 
 std::string Profiler::setSite(int rank, std::string label) {
-  std::uint32_t& cur = siteOf_[static_cast<std::size_t>(rank)];
+  std::uint32_t& cur = ranks_[static_cast<std::size_t>(rank)].site;
   std::string prev = siteNames_[cur];
   const auto [it, added] = siteIndex_.try_emplace(
       std::move(label), static_cast<std::uint32_t>(siteNames_.size()));
@@ -350,7 +567,7 @@ void Profiler::finalize(const smpi::RunResult& result) {
     b.collBlocked = s.collWaitSeconds;
     b.idle = std::max(
         0.0, p.makespan - (b.compute + b.p2pBlocked + b.collBlocked));
-    b.overlap = overlap_[static_cast<std::size_t>(r)];
+    b.overlap = ranks_[static_cast<std::size_t>(r)].overlap;
     b.finish = result.finishTimes[static_cast<std::size_t>(r)];
     p.computeTotal += b.compute;
     p.p2pBlockedTotal += b.p2pBlocked;
@@ -455,24 +672,30 @@ void Profiler::finalize(const smpi::RunResult& result) {
   net.histBytes.assign(hist_.begin(),
                        hist_.begin() + static_cast<std::ptrdiff_t>(lastBin));
 
-  // Critical path + what-ifs need the full op record, unavailable once
-  // truncated.
+  // Critical path + what-ifs need every op recorded, so a truncated
+  // profile has neither.
   if (!p.truncated) {
     computeCriticalPath(result);
-    computeWhatIf(result);
+    WhatIf& w = p.whatIf;
+    w.measured = result.makespan;
+    if (whatIfOk_) {
+      w.valid = true;
+      w.zeroNetwork = ranks_.front().zn;
+      w.zeroCompute = ranks_.front().zc;
+      for (const RankState& rs : ranks_) {
+        w.zeroNetwork = std::max(w.zeroNetwork, rs.zn);
+        w.zeroCompute = std::max(w.zeroCompute, rs.zc);
+      }
+    }
   }
 
-  // Release the detailed state; only the assembled RunProfile survives.
+  // Release the detailed state; the RunProfile and the op log survive.
   sim_->system().torusNetwork().attachObserver(nullptr);
-  std::vector<OpRec>().swap(ops_);
-  std::vector<GateRec>().swap(gates_);
-  items_.clear();
-  waitOps_.clear();
-  open_.clear();
-  overlap_.clear();
+  std::vector<std::unique_ptr<Chunk>>().swap(chunks_);
+  std::vector<RankState>().swap(ranks_);
+  std::vector<std::vector<Span>>().swap(spans_);
   siteNames_.clear();
   siteIndex_.clear();
-  siteOf_.clear();
   siteAggs_.clear();
   collAggs_.clear();
   linkBytes_.clear();
@@ -498,9 +721,9 @@ ProfileScope::~ProfileScope() { gActiveProfileScope.store(prev_); }
 
 ProfileScope* ProfileScope::active() { return gActiveProfileScope.load(); }
 
-Profiler& ProfileScope::attach(smpi::Simulation& sim) {
+Profiler& ProfileScope::attach(smpi::Simulation& sim, bool keepLog) {
   const std::lock_guard<std::mutex> lock(mu_);
-  profilers_.push_back(std::make_unique<Profiler>(sim, options_));
+  profilers_.push_back(std::make_unique<Profiler>(sim, options_, keepLog));
   return *profilers_.back();
 }
 

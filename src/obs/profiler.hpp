@@ -15,15 +15,27 @@
 //    ProfileScope gets a profiler of its own, whose op log becomes the
 //    scope's op-graph.
 //
-// The profiler is the one per-op record of a run.  Its op log (OpRec per
-// op id, Item per issue/compute/wait, GateRec per gate) holds the facts
-// the critical path and what-ifs read (matches, send destinations, each
-// gate's last arrival) and those the smpilint passes read (tags, comms,
-// receive wildcards and declared sizes, collective signatures).  Keyed by
-// the per-Simulation op id, it keeps no op alive.  It registers no
-// completion waiter either:
-// Simulation reports each send/receive completion through onComplete, so
-// an op's awaiter keeps the OpState's inline waiter slot.
+// What the profiler keeps (docs/observability.md has the memory table):
+//  * per rank: the open block, the overlap total, the current call-site
+//    label, two what-if clocks, and the rank's compute and block spans of
+//    positive width — the only items the critical-path walk stops on —
+//    each block with its releaser resolved when the wait returned;
+//  * per in-flight op: issue, completion, world, bytes, the matched
+//    partner's facts and the replayed issue, in fixed-size chunks keyed by
+//    op id.  A chunk is freed once every op in it has completed, been
+//    waited on and, for sends, been matched; an op that is never waited on
+//    pins its chunk (memory, never correctness);
+//  * only when an analysis::CaptureScope was live at construction
+//    (`keepLog`): the full op log — OpRec per op, Item per
+//    issue/compute/wait, GateRec per gate — that analysis::buildOpGraph
+//    reads.
+// The what-ifs are evaluated online: each hook advances the same max-plus
+// recurrence a replay of the log would, in causal order, with the same
+// arithmetic, so the profile does not depend on whether the log is kept.
+// Everything is keyed by the per-Simulation op id, so the profiler keeps
+// no op alive.  It registers no completion waiter either: Simulation
+// reports each send/receive completion through onComplete, so an op's
+// awaiter keeps the OpState's inline waiter slot.
 
 #include <cstdint>
 #include <map>
@@ -47,7 +59,8 @@ class Simulation;
 namespace bgp::obs {
 
 struct ProfileOptions {
-  /// Stop detailed (per-op / per-item) recording past this many ops; the
+  /// Stop detailed recording past this many ops (or 4x as many timeline
+  /// items: issues, computes, and waits counted with their ops); the
   /// profile is marked truncated and loses the critical path and
   /// what-ifs, but breakdowns and counters stay exact.
   std::size_t maxOps = 1u << 20;
@@ -59,8 +72,11 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
  public:
   /// Attaches to `sim` (wires itself as the torus network's link
   /// observer).  `sim` must outlive every hook call; finalize() severs
-  /// the connection, after which only profile() remains valid.
-  Profiler(smpi::Simulation& sim, ProfileOptions options);
+  /// the connection, after which profile() and, with `keepLog`, the op
+  /// log remain valid.  `keepLog` also records the full op log (Simulation
+  /// sets it when an analysis::CaptureScope was live at its construction).
+  Profiler(smpi::Simulation& sim, ProfileOptions options,
+           bool keepLog = false);
   ~Profiler() override;
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
@@ -105,12 +121,13 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   std::string setSite(int rank, std::string label);
 
   /// Assembles the RunProfile.  Called by Simulation::run() on success
-  /// (while the Simulation is still alive); releases all detailed state.
+  /// (while the Simulation is still alive); releases all detailed state
+  /// but the op log.
   void finalize(const smpi::RunResult& result);
   bool finalized() const { return finalized_; }
   const RunProfile& profile() const { return profile_; }
 
-  // ---- the op log (read at finalize and by analysis::buildOpGraph) -----
+  // ---- the op log (kept with `keepLog`; read by analysis::buildOpGraph) -
   /// Op ids as the log stores them.  Ids past the 32-bit range end
   /// detailed recording like the maxOps budget does.
   using OpId = std::uint32_t;
@@ -118,8 +135,7 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   static constexpr OpId kNoOp = ~OpId{0};
 
   /// One recorded timeline item.  Per rank, items append in program order
-  /// (a rank is sequential), which the critical-path walk, the what-if
-  /// replay and the op-graph all rely on.
+  /// (a rank is sequential), which the op-graph relies on.
   struct Item {
     enum class Kind : std::uint8_t { Compute, Block, Issue };
     Item() {}  // NOLINT: `= default` is deleted by the union holding `sig`
@@ -156,7 +172,6 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
     // None: an id the profiler did not record (budget hit first).
     enum class Kind : std::uint8_t { None, Send, Recv, Gate } kind =
         Kind::None;
-    bool overlapCounted = false;
     std::size_t gate() const { return static_cast<std::size_t>(peerOrGate); }
   };
   static_assert(sizeof(OpRec) <= 40);
@@ -166,16 +181,16 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
     int commId = -1;        // 0: the world, the full partition
     std::uint64_t seq = 0;  // the gate's collective number on commId
     smpi::CollSig sig;      // the opener's
-    double bytes = 0.0;
-    int lastWorld = -1;  // the member the gate waited for
-    sim::SimTime lastArrival = -1.0;
     double duration = -1.0;  // < 0: gate never completed
-    sim::SimTime done = -1.0;
   };
 
   /// True once detailed recording stopped: the log then holds the run's
   /// events up to some instant of the executed schedule.
   bool truncated() const { return truncated_; }
+  /// Whether the op log below is recorded (see the constructor).
+  bool keepsLog() const { return keepLog_; }
+  /// The run's eager threshold, for readers that replay the log.
+  double eagerThreshold() const { return eagerThresh_; }
   std::size_t opCount() const { return ops_.size(); }
   /// The record of op `id`, or null if it was not recorded.
   const OpRec* rec(std::uint64_t id) const {
@@ -244,21 +259,127 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   /// and reports the path incomplete.
   static constexpr std::size_t kMaxPathSegments = 1u << 16;
 
+  /// An in-flight op: what the hooks, the what-if clocks and the
+  /// critical-path resolution read until the op retires.
+  struct LiveOp {
+    enum class Kind : std::uint8_t { None, Send, Recv, Gate };
+    sim::SimTime issue = 0.0;        // Gate: the first arrival
+    sim::SimTime completion = -1.0;  // < 0: not yet (Gate: done)
+    union {
+      double bytes = 0.0;        // Send: payload; Recv: the matched send's
+      sim::SimTime lastArrival;  // Gate
+    };
+    union {
+      sim::SimTime partnerIssue = 0.0;  // p2p: the matched partner's issue
+      double duration;                  // Gate: the modeled cost
+    };
+    /// Replayed times with the network (zn) or compute (zc) zeroed.  p2p:
+    /// the op's replayed issue, after its match the replayed cause of its
+    /// completion; Gate: the latest replayed arrival.
+    double zn = 0.0;
+    double zc = 0.0;
+    int world = -1;  // p2p: the issuing world rank; Gate: the last arrival's
+    union {
+      int peer = -1;  // Send: destination world rank; Recv: matched source's
+      int nranks;     // Gate: member count
+    };
+    Kind kind = Kind::None;  // None: free, or retired
+    bool matched : 1 = false;
+    bool waited : 1 = false;
+    bool overlapCounted : 1 = false;
+    bool full : 1 = false;  // Gate: on the world communicator
+    net::CollKind coll{};   // Gate: the opener's signature
+    net::Dtype dt{};
+    std::uint32_t waits = 0;  // Gate: member waits that returned it
+  };
+  static_assert(sizeof(LiveOp) == 64);
+  static constexpr std::size_t kChunkOps = 256;
+  struct Chunk {
+    LiveOp ops[kChunkOps];
+    std::uint32_t live = 0;  // recorded and not yet retired
+  };
+
+  /// A compute or block span of positive width on one rank: the walk's
+  /// unit.  A block carries its releaser as resolved at onWaitDone.
+  struct Span {
+    enum class Kind : std::uint8_t {
+      Compute,
+      /// Released by an op the profiler holds no record of.  Only a
+      /// truncated run records one, and it gets no critical path.
+      Unresolved,
+      Gate,  // released by a gate
+      Send,  // released by a send
+      Recv,  // released by a matched receive
+    };
+    Span(sim::SimTime b, sim::SimTime e) : begin(b), end(e) {}
+    sim::SimTime begin;
+    sim::SimTime end;
+    sim::SimTime cause = 0.0;  // p2p: the causing issue; Gate: last arrival
+    double bytes = 0.0;        // p2p: payload
+    union {
+      int sendWorld = -1;  // p2p
+      int lastWorld;       // Gate: the member the gate waited for
+    };
+    union {
+      int recvWorld = -1;  // p2p
+      int nranks;          // Gate
+    };
+    Kind kind = Kind::Compute;
+    bool matched = false;      // p2p: the partner was matched
+    bool causeIsRecv = false;  // p2p: a rendezvous gated on the receiver
+    bool full = false;         // Gate: on the world communicator
+    net::CollKind coll{};      // Gate
+    net::Dtype dt{};
+  };
+  static_assert(sizeof(Span) <= 48);
+
+  /// Per-rank state.
+  struct RankState {
+    sim::SimTime blockBegin = 0.0;  // of the open block
+    double overlap = 0.0;           // seconds
+    double zn = 0.0;                // what-if clocks (see LiveOp::zn)
+    double zc = 0.0;
+    std::uint32_t site = 0;  // current call-site label index
+    bool blocked = false;    // a block is open
+  };
+
   /// Detailed recording is on until the op/item budget trips.
   bool detailed() const { return !truncated_; }
   bool recorded(std::uint64_t id) const {
     return id < ops_.size() && ops_[id].kind != OpRec::Kind::None;
   }
   OpRec* rec(std::uint64_t id) { return recorded(id) ? &ops_[id] : nullptr; }
-  /// Adds the record of op `id` (ids arrive in creation order), or ends
-  /// detailed recording and returns null when `id` does not fit an OpId.
-  OpRec* addRec(std::uint64_t id);
+  /// The in-flight record of op `id`, or null (never recorded, retired).
+  LiveOp* live(std::uint64_t id) {
+    const std::uint64_t c = id / kChunkOps;
+    if (c >= chunks_.size() || !chunks_[c]) return nullptr;
+    LiveOp& op = chunks_[c]->ops[id % kChunkOps];
+    return op.kind == LiveOp::Kind::None ? nullptr : &op;
+  }
+  /// Starts the in-flight record of op `id` (ids arrive in creation
+  /// order), or ends detailed recording and returns null when `id` does
+  /// not fit an OpId.
+  LiveOp* addLive(std::uint64_t id, LiveOp::Kind kind);
+  /// Drops op `id`'s record; frees its chunk once the chunk is full and
+  /// holds no live op.
+  void retire(std::uint64_t id, LiveOp& op);
+  /// `op` was returned by a wait: retires it once nothing can read it.
+  void noteWaited(const smpi::OpState& op);
+  /// Folds the replayed completions of the ops a wait returned into the
+  /// rank's what-if clocks.
+  void foldWhatIf(RankState& rs, const std::vector<smpi::Request>& ops,
+                  std::size_t fired);
+  /// The block span [begin, end) released by `release` (null: unknown).
+  Span resolveBlock(sim::SimTime begin, sim::SimTime end,
+                    const smpi::OpState* release);
+  /// Adds the log record of op `id`.
+  OpRec& addRec(std::uint64_t id);
   void checkBudget();
   /// `rank`'s aggregate for its current site label and op `slot`.
   SiteAgg& siteAgg(int rank, std::uint32_t slot) {
-    SiteAgg& agg = siteAggs_[siteOf_[static_cast<std::size_t>(rank)] *
-                                 kOpSlots +
-                             slot];
+    SiteAgg& agg =
+        siteAggs_[ranks_[static_cast<std::size_t>(rank)].site * kOpSlots +
+                  slot];
     agg.used = true;
     return agg;
   }
@@ -267,42 +388,39 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   }
   /// The aggregation slot of a waited op (a recorded gate's kind, else
   /// its OpState::Kind), and of an OpState::Kind alone.
-  std::uint32_t opSlot(const smpi::OpState& op) const;
+  std::uint32_t opSlot(const smpi::OpState& op);
   static std::uint32_t kindSlot(smpi::OpState::Kind kind);
   void histAdd(sim::SimTime t, double bytes);
   /// Stable lowercase collective-kind name ("allreduce", ...).
   static const char* collName(net::CollKind kind);
 
-  // ---- finalize stages (critical_path.cpp) -----------------------------
+  /// Finalize stage (critical_path.cpp): the backward walk over spans_.
   void computeCriticalPath(const smpi::RunResult& result);
-  void computeWhatIf(const smpi::RunResult& result);
-  /// Replays the recorded dependency structure with one cost class
-  /// zeroed; returns the replayed makespan, or a negative value when a
-  /// dependency could not be resolved.
-  double replay(bool zeroNetwork, bool zeroCompute) const;
 
   smpi::Simulation* sim_;  // null after finalize()
   ProfileOptions options_;
+  bool keepLog_;
+  double eagerThresh_;
   bool truncated_ = false;
   bool finalized_ = false;
+  bool whatIfOk_ = true;  // every wait's replayed completions resolved
 
+  std::uint64_t opCount_ = 0;  // one past the highest recorded op id
+  std::size_t itemCount_ = 0;  // issues + computes + waits with their ops
+  std::vector<std::unique_ptr<Chunk>> chunks_;  // by id / kChunkOps
+  std::vector<RankState> ranks_;
+  std::vector<std::vector<Span>> spans_;  // per rank, program order
+
+  // The op log (keepLog_ only).
   std::vector<OpRec> ops_;      // by op id
   std::vector<GateRec> gates_;  // by OpRec::gate()
   std::vector<std::vector<Item>> items_;    // per rank
   std::vector<std::vector<OpId>> waitOps_;  // per rank
-  std::size_t itemCount_ = 0;
 
-  struct OpenBlock {
-    sim::SimTime begin = 0.0;
-    bool open = false;
-  };
-  std::vector<OpenBlock> open_;       // per rank
-  std::vector<double> overlap_;       // per rank, seconds
   // Site labels are interned once per label change; each rank holds its
   // current label's index, so aggregating an op builds no string key.
   std::vector<std::string> siteNames_;  // by site index; [0] = ""
   std::map<std::string, std::uint32_t> siteIndex_;
-  std::vector<std::uint32_t> siteOf_;   // per rank current site index
   std::vector<SiteAgg> siteAggs_;       // [site * kOpSlots + slot]
   std::map<net::CollKind, CollAgg> collAggs_;
 
@@ -336,8 +454,9 @@ class ProfileScope {
   static ProfileScope* active();
 
   /// Called by Simulation's constructor (thread-safe); returns the
-  /// Profiler the new Simulation must record into.
-  Profiler& attach(smpi::Simulation& sim);
+  /// Profiler the new Simulation must record into (`keepLog`: see
+  /// Profiler's constructor).
+  Profiler& attach(smpi::Simulation& sim, bool keepLog);
 
   /// One Profiler per Simulation constructed under the scope.  The
   /// construction order is thread-schedule dependent under the bench

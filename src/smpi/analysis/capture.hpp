@@ -1,11 +1,12 @@
 #pragma once
 // Capture mode: turns a Simulation's run into an analysis::OpGraph.
 //
-// There is one recorder per run, the profiler's op log (obs/profiler.hpp).
-// When the run ends — whether run() returns or throws — Simulation hands
-// that log to buildOpGraph, before Profiler::finalize releases it, and the
-// graph lands in the CaptureScope that was live when the Simulation was
-// constructed.  A CaptureScope is how tools/smpilint wraps existing
+// There is one recorder per run, the profiler's op log (obs/profiler.hpp),
+// which a profiler records only for a Simulation constructed under a
+// CaptureScope.  When the run ends — whether run() returns or throws —
+// Simulation hands that log to buildOpGraph (after Profiler::finalize,
+// which keeps the log, on success), and the graph lands in the
+// CaptureScope that was live when the Simulation was constructed.  A CaptureScope is how tools/smpilint wraps existing
 // scenario entry points (runHalo, runPop, runCommTests, ...) without
 // changing their signatures: the scope outlives the Simulations and keeps
 // their op-graphs.

@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "smpi/types.hpp"
 
 namespace bgp::smpi {
@@ -53,7 +52,6 @@ class MatchTable {
     bool rendezvous = false;  // true: RTS only, payload not yet moved
     Request sendOp;  // rendezvous: sender completion; eager: null unless
                      // an observer (capture, profiler) records matches
-    sim::SimTime ready = 0.0;
   };
 
   /// Appends a posted receive under its wanted (possibly wildcard) key.

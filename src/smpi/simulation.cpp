@@ -30,9 +30,12 @@ Simulation::Simulation(arch::MachineConfig machine, std::int64_t nranks,
     ranks_.back().id_ = static_cast<int>(i);
     ranks_.back().rng_.reseed(splitmix64(sm));
   }
+  // A capture reads the profiler's op log, which only a profiler built
+  // with keepLog records.
+  auto* cscope = analysis::CaptureScope::active();
   if (auto* pscope = obs::ProfileScope::active())
-    profiler_ = &pscope->attach(*this);
-  if (auto* cscope = analysis::CaptureScope::active()) {
+    profiler_ = &pscope->attach(*this, /*keepLog=*/cscope != nullptr);
+  if (cscope) {
     opGraph_ = &cscope->attach(static_cast<int>(nranks));
     if (!profiler_) {
       obs::ProfileOptions po;
@@ -91,7 +94,8 @@ Verifier& Simulation::enableVerifier(VerifierOptions options) {
 
 obs::Profiler& Simulation::enableProfile(obs::ProfileOptions options) {
   BGP_REQUIRE_MSG(!ran_, "enableProfile must be called before run()");
-  ownedProfiler_ = std::make_unique<obs::Profiler>(*this, options);
+  ownedProfiler_ = std::make_unique<obs::Profiler>(
+      *this, options, /*keepLog=*/opGraph_ != nullptr);
   profiler_ = ownedProfiler_.get();
   return *profiler_;
 }
@@ -99,9 +103,10 @@ obs::Profiler& Simulation::enableProfile(obs::ProfileOptions options) {
 RunResult Simulation::run(const RankProgram& program) {
   BGP_REQUIRE_MSG(!ran_, "Simulation::run may be called once");
   ran_ = true;
-  // The op-graph is built while the op log is whole: before finalize()
-  // releases it, and also when the run throws, since the ops a failed
-  // run issued are what its diagnosis needs.
+  // The op-graph is built from the op log, which finalize() keeps: after
+  // the profiler released its run-time state on success, and also when
+  // the run throws, since the ops a failed run issued are what its
+  // diagnosis needs.
   const auto buildGraph = [this] {
     if (opGraph_) analysis::buildOpGraph(*profiler_, comms(), *opGraph_);
   };
@@ -112,8 +117,8 @@ RunResult Simulation::run(const RankProgram& program) {
     buildGraph();
     throw;
   }
-  buildGraph();
   if (profiler_ && !profiler_->finalized()) profiler_->finalize(result);
+  buildGraph();
   return result;
 }
 
@@ -459,7 +464,7 @@ void Simulation::deliverEager(Comm& comm, const Request& sendOp) {
   // reference to its send, which completed at injection.
   comm.match_.addStaged(
       dst, MatchTable::Staged{src, sendOp->tag, sendOp->bytes, false,
-                              profiler_ ? sendOp : nullptr, engine_.now()});
+                              profiler_ ? sendOp : nullptr});
 }
 
 void Simulation::arriveRts(Comm& comm, const Request& sendOp) {
@@ -474,8 +479,7 @@ void Simulation::arriveRts(Comm& comm, const Request& sendOp) {
     return;
   }
   comm.match_.addStaged(
-      dst, MatchTable::Staged{src, sendOp->tag, sendOp->bytes, true, sendOp,
-                              engine_.now()});
+      dst, MatchTable::Staged{src, sendOp->tag, sendOp->bytes, true, sendOp});
 }
 
 void Simulation::matchRecv(const Comm& comm, int src, int dst, int tag,

@@ -93,8 +93,9 @@ class Simulation {
   /// Simulations constructed under an obs::ProfileScope are profiled
   /// automatically without this call, and so are those constructed under
   /// an analysis::CaptureScope, whose op-graph run() builds from the
-  /// profiler's op log.  The profile is assembled by run() and read via
-  /// profiler()->profile().
+  /// profiler's op log.  The op log is recorded only for a Simulation
+  /// constructed under a CaptureScope.  The profile is assembled by run()
+  /// and read via profiler()->profile().
   obs::Profiler& enableProfile(obs::ProfileOptions options = {});
   obs::Profiler* profiler() { return profiler_; }
 

@@ -85,8 +85,8 @@ class RefMatcher {
 
 TEST(MatchTable, ConcreteRecvMatchesEarliestArrivalOfItsKey) {
   MatchTable t(4);
-  t.addStaged(0, {/*src=*/1, /*tag=*/7, /*bytes=*/10.0, false, nullptr, 0.0});
-  t.addStaged(0, {/*src=*/1, /*tag=*/7, /*bytes=*/20.0, false, nullptr, 0.0});
+  t.addStaged(0, {/*src=*/1, /*tag=*/7, /*bytes=*/10.0, false, nullptr});
+  t.addStaged(0, {/*src=*/1, /*tag=*/7, /*bytes=*/20.0, false, nullptr});
   MatchTable::Staged got;
   ASSERT_TRUE(t.takeStagedMatch(0, 1, 7, got));
   EXPECT_EQ(got.bytes, 10.0);
@@ -97,9 +97,9 @@ TEST(MatchTable, ConcreteRecvMatchesEarliestArrivalOfItsKey) {
 
 TEST(MatchTable, WildcardRecvTakesEarliestArrivalAcrossKeys) {
   MatchTable t(4);
-  t.addStaged(2, {/*src=*/3, /*tag=*/5, /*bytes=*/1.0, false, nullptr, 0.0});
-  t.addStaged(2, {/*src=*/0, /*tag=*/5, /*bytes=*/2.0, false, nullptr, 0.0});
-  t.addStaged(2, {/*src=*/3, /*tag=*/9, /*bytes=*/3.0, false, nullptr, 0.0});
+  t.addStaged(2, {/*src=*/3, /*tag=*/5, /*bytes=*/1.0, false, nullptr});
+  t.addStaged(2, {/*src=*/0, /*tag=*/5, /*bytes=*/2.0, false, nullptr});
+  t.addStaged(2, {/*src=*/3, /*tag=*/9, /*bytes=*/3.0, false, nullptr});
   MatchTable::Staged got;
   // ANY_SOURCE on tag 5: arrival order across sources, not key order.
   ASSERT_TRUE(t.takeStagedMatch(2, kAnySource, 5, got));
@@ -152,7 +152,7 @@ TEST(MatchTable, MismatchedTagOrSourceDoesNotMatch) {
   EXPECT_EQ(t.takePostedMatch(1, 1, 7), nullptr);   // wrong destination
   EXPECT_EQ(t.takePostedMatch(0, 1, 7), op);
   MatchTable::Staged got;
-  t.addStaged(0, {/*src=*/1, /*tag=*/7, /*bytes=*/1.0, false, nullptr, 0.0});
+  t.addStaged(0, {/*src=*/1, /*tag=*/7, /*bytes=*/1.0, false, nullptr});
   EXPECT_FALSE(t.takeStagedMatch(0, 1, 8, got));
   EXPECT_FALSE(t.takeStagedMatch(0, 2, kAnyTag, got));
   EXPECT_TRUE(t.takeStagedMatch(0, kAnySource, 7, got));
@@ -182,9 +182,9 @@ TEST(MatchTable, LeakEnumerationsGroupByDstInFifoOrder) {
   Request b = makeOpState();
   t.addPosted(2, 0, 4, a);
   t.addPosted(0, kAnySource, kAnyTag, b);
-  t.addStaged(2, {/*src=*/1, /*tag=*/9, /*bytes=*/64.0, false, nullptr, 0.0});
-  t.addStaged(2, {/*src=*/1, /*tag=*/9, /*bytes=*/65.0, false, nullptr, 0.0});
-  t.addStaged(1, {/*src=*/0, /*tag=*/3, /*bytes=*/66.0, false, nullptr, 0.0});
+  t.addStaged(2, {/*src=*/1, /*tag=*/9, /*bytes=*/64.0, false, nullptr});
+  t.addStaged(2, {/*src=*/1, /*tag=*/9, /*bytes=*/65.0, false, nullptr});
+  t.addStaged(1, {/*src=*/0, /*tag=*/3, /*bytes=*/66.0, false, nullptr});
 
   const auto staged = t.stagedLeaks();
   ASSERT_EQ(staged.size(), 3u);
@@ -214,8 +214,8 @@ TEST(MatchTable, LeakEnumerationsNameQueuedOps) {
   rdv->id = 8;
   eager->id = 9;
   t.addPosted(0, 1, 4, recv);
-  t.addStaged(1, {/*src=*/0, /*tag=*/5, /*bytes=*/4096.0, true, rdv, 0.0});
-  t.addStaged(1, {/*src=*/0, /*tag=*/6, /*bytes=*/16.0, false, eager, 0.0});
+  t.addStaged(1, {/*src=*/0, /*tag=*/5, /*bytes=*/4096.0, true, rdv});
+  t.addStaged(1, {/*src=*/0, /*tag=*/6, /*bytes=*/16.0, false, eager});
 
   const auto posted = t.postedLeaks();
   ASSERT_EQ(posted.size(), 1u);
@@ -251,7 +251,7 @@ TEST(MatchTable, RandomizedAgainstDequeScanOracle) {
         Request want = ref.takePostedMatch(dst, src, tag);
         ASSERT_EQ(got, want) << "seed=" << seed << " step=" << step;
         if (!got) {
-          MatchTable::Staged msg{src, tag, nextBytes, false, nullptr, 0.0};
+          MatchTable::Staged msg{src, tag, nextBytes, false, nullptr};
           nextBytes += 1.0;
           table.addStaged(dst, msg);
           ref.addStaged(dst, msg);
@@ -315,7 +315,7 @@ TEST(MatchTable, DrainedTableHoldsNoKeys) {
     for (int src = 0; src < 8; ++src) {
       ops.push_back(makeOpState());
       t.addPosted(dst, src, dst + src, ops.back());
-      t.addStaged(src, {dst, 100 + src, 1.0, false, nullptr, 0.0});
+      t.addStaged(src, {dst, 100 + src, 1.0, false, nullptr});
     }
   EXPECT_EQ(t.keys(), 128u);
   std::size_t k = 0;
@@ -365,11 +365,11 @@ TEST(MatchTable, FifoOrderHoldsAfterKeyIsErasedAndRecreated) {
     EXPECT_EQ(t.takePostedMatch(0, 1, 5), any) << "round " << round;
     EXPECT_EQ(t.takePostedMatch(0, 1, 5), concrete) << "round " << round;
     // Staged side: arrival order across an erased-and-recreated key.
-    t.addStaged(0, {1, 5, 1.0, false, nullptr, 0.0});
-    t.addStaged(0, {2, 5, 2.0, false, nullptr, 0.0});
+    t.addStaged(0, {1, 5, 1.0, false, nullptr});
+    t.addStaged(0, {2, 5, 2.0, false, nullptr});
     MatchTable::Staged got;
     ASSERT_TRUE(t.takeStagedMatch(0, 1, 5, got));
-    t.addStaged(0, {1, 5, 3.0, false, nullptr, 0.0});
+    t.addStaged(0, {1, 5, 3.0, false, nullptr});
     ASSERT_TRUE(t.takeStagedMatch(0, kAnySource, 5, got));
     EXPECT_EQ(got.bytes, 2.0);
     ASSERT_TRUE(t.takeStagedMatch(0, kAnySource, kAnyTag, got));
@@ -387,8 +387,7 @@ TEST(MatchTable, LargeFanInKeepsFifoOrder) {
   const int dst = kSources;
   for (int rep = 0; rep < 2; ++rep)
     for (int src = 0; src < kSources; ++src)
-      t.addStaged(dst, {src, 9, rep * kSources + src + 0.0, false, nullptr,
-                        0.0});
+      t.addStaged(dst, {src, 9, rep * kSources + src + 0.0, false, nullptr});
   EXPECT_EQ(t.keys(), static_cast<std::size_t>(kSources));
   MatchTable::Staged got;
   for (int src = 0; src < kSources; src += 2) {

@@ -1,7 +1,7 @@
 // Memory-footprint regression gates for paper-scale worlds: an idle
-// 65,536-rank VN world and a 16,384-rank world mid-halo must each stay
-// under a recorded per-rank budget, and the per-operation records must
-// keep their compact layout.  These are the tests that keep the runtime's
+// 65,536-rank VN world, a 16,384-rank world mid-halo and a profiled and
+// verified 4,096-rank halo must each stay under a recorded per-rank
+// budget, and the per-operation records must keep their compact layout.  These are the tests that keep the runtime's
 // per-rank and per-op state from quietly growing back to where 131,072
 // ranks no longer fit in memory (the arena, the SoA rank state, the O(1)
 // match table and the compact op lifecycle exist to keep these numbers
@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "arch/machines.hpp"
@@ -20,6 +23,8 @@
 #include "topo/process_grid.hpp"
 
 #if defined(__unix__)
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 #endif
 
@@ -54,12 +59,51 @@ long residentBytes() {
 #endif
 }
 
-// Layout gates: an OpState fills one 64-byte arena granule, and a pending
-// event is a 32-byte slot (half a cache line).
+/// Peak resident growth in bytes of running `body` in a forked child: the
+/// child's high-water RSS minus its RSS when it started, so neither an
+/// earlier test's peak nor the parent's heap counts.  -1 when unavailable.
+template <class Body>
+long peakGrowthInChild(Body&& body) {
+#if defined(__unix__)
+  int fd[2];
+  if (pipe(fd) != 0) return -1;
+  std::fflush(nullptr);
+  const pid_t pid = fork();
+  if (pid < 0) return -1;
+  if (pid == 0) {
+    close(fd[0]);
+    const long before = residentBytes();
+    std::thread(std::forward<Body>(body)).join();
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    const long growth = before < 0 ? -1 : ru.ru_maxrss * 1024 - before;
+    const bool sent = write(fd[1], &growth, sizeof growth) == sizeof growth;
+    _exit(sent ? 0 : 1);
+  }
+  close(fd[1]);
+  long growth = -1;
+  if (read(fd[0], &growth, sizeof growth) != sizeof growth) growth = -1;
+  close(fd[0]);
+  int status = 0;
+  while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  }
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) return -1;
+  return growth;
+#else
+  (void)body;
+  return -1;
+#endif
+}
+
+// Layout gates: an OpState fills one 64-byte arena granule, a pending
+// event is a 32-byte slot (half a cache line), and a staged message is
+// 32 bytes.
 static_assert(sizeof(bgp::smpi::OpState) <= 64,
               "OpState outgrew one arena granule");
 static_assert(bgp::sim::Engine::slotBytes() == 32,
               "engine event slot is no longer 32 bytes");
+static_assert(sizeof(bgp::smpi::MatchTable::Staged) <= 32,
+              "a staged message outgrew 32 bytes");
 
 bgp::net::SystemOptions vnOptions() {
   bgp::net::SystemOptions o;
@@ -160,5 +204,69 @@ TEST(MemoryFootprint, RunningHaloWorldStaysUnderPerRankBudget) {
               kRanks, perRank, kBudgetBytesPerRank);
   EXPECT_LT(perRank, kBudgetBytesPerRank)
       << "per-rank memory of a running halo world regressed past the "
+         "recorded budget";
+}
+
+TEST(MemoryFootprint, ProfiledHaloWorldStaysUnderPerRankBudget) {
+  if (kSanitized)
+    GTEST_SKIP() << "sanitizer redzones/shadow inflate RSS; measured only "
+                    "in plain builds";
+  if (residentBytes() < 0) GTEST_SKIP() << "/proc/self/statm unavailable";
+
+  // A 64x64 VN halo with the verifier and the profiler on, 8 reps (four
+  // eager and four rendezvous widths): the profiler's per-rank spans and
+  // in-flight op chunks, and the verifier's records, peak mid-run.
+  constexpr int kSide = 64;
+  constexpr int kRanks = kSide * kSide;
+  // Recorded budget: the runtime measures ~4,440 peak bytes/rank here, of
+  // which the bare world is ~1,750 and the profiler's per-rank spans and
+  // in-flight op chunks most of the rest; a profiler that kept a record
+  // of every op and timeline item until the run ended measured ~12,150.
+  // The budget leaves 1.35x headroom for allocator noise.
+  constexpr double kBudgetBytesPerRank = 6000.0;
+
+  const long growth = peakGrowthInChild([&] {
+    const bgp::topo::ProcessGrid2D grid(kSide, kSide);
+    auto sim = std::make_unique<bgp::smpi::Simulation>(
+        bgp::arch::machineByName("BG/P"), kRanks, vnOptions());
+    sim->enableVerifier();
+    sim->enableProfile();
+    sim->run([&grid](bgp::smpi::Rank& self) -> bgp::sim::Task {
+      const auto north = static_cast<int>(grid.north(self.id()));
+      const auto south = static_cast<int>(grid.south(self.id()));
+      const auto west = static_cast<int>(grid.west(self.id()));
+      const auto east = static_cast<int>(grid.east(self.id()));
+      co_await self.barrier();
+      for (const int words : {64, 1024, 48, 768, 96, 1536, 80, 1280}) {
+        const double n1 = words * 4.0;
+        const double n2 = 2.0 * n1;
+        co_await self.compute(bgp::arch::Work{0.0, 2.0 * (n1 + n2), 1.0});
+        std::vector<bgp::smpi::Request> ns;
+        ns.push_back(self.irecv(south, 10));
+        ns.push_back(self.irecv(north, 11));
+        ns.push_back(self.isend(north, n1, 10));
+        ns.push_back(self.isend(south, n2, 11));
+        co_await self.waitAll(std::move(ns));
+        std::vector<bgp::smpi::Request> ew;
+        ew.push_back(self.irecv(east, 12));
+        ew.push_back(self.irecv(west, 13));
+        ew.push_back(self.isend(west, n1, 12));
+        ew.push_back(self.isend(east, n2, 13));
+        co_await self.waitAll(std::move(ew));
+      }
+    });
+    if (sim->profiler()->profile().truncated ||
+        !sim->profiler()->profile().critical.complete)
+      std::_Exit(2);
+  });
+  ASSERT_GE(growth, 0) << "the profiled run failed or RSS is unavailable";
+  const double perRank =
+      static_cast<double>(growth) / static_cast<double>(kRanks);
+  RecordProperty("bytes_per_rank", static_cast<int>(perRank));
+  std::printf("[ footprint ] profiled %d-rank halo world: %.0f peak "
+              "bytes/rank (budget %.0f)\n",
+              kRanks, perRank, kBudgetBytesPerRank);
+  EXPECT_LT(perRank, kBudgetBytesPerRank)
+      << "per-rank peak memory of a profiled halo world regressed past the "
          "recorded budget";
 }

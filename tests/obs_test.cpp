@@ -1,10 +1,15 @@
 // Tests for the observability plane (src/obs): per-rank breakdowns,
-// critical-path attribution, what-if estimates, deterministic exporters,
-// and the Chrome-trace escaping fix.
+// critical-path attribution, what-if estimates (and their replay oracle
+// over the op log), deterministic exporters, the profile's independence
+// of whether the op log is kept, and the Chrome-trace escaping fix.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -16,6 +21,7 @@
 #include "obs/profiler.hpp"
 #include "obs/report.hpp"
 #include "smpi/analysis/capture.hpp"
+#include "smpi/analysis/scenarios.hpp"
 #include "smpi/simulation.hpp"
 #include "smpi/trace.hpp"
 #include "support/arena.hpp"
@@ -354,6 +360,325 @@ TEST(Obs, FailedProfiledRunLeavesEveryArenaBalanced) {
   EXPECT_TRUE(deadlocked);
   EXPECT_EQ(workerAfter, workerBefore);
   EXPECT_EQ(mainArena.liveBlocks(), mainBefore);
+}
+
+// ---- the what-if oracle ------------------------------------------------------
+//
+// The profiler evaluates its what-ifs online, in the hooks.  The oracle is
+// the replay it replaced: the op log a CaptureScope keeps, swept in an
+// order that respects the recorded dependencies, with one cost class
+// zeroed.  Both evaluate the same max-plus recurrence with the same
+// arithmetic, so they must agree bit for bit.
+
+/// The replayed makespan of `log` with one cost class zeroed, or a
+/// negative value when a dependency could not be resolved.
+double replayLog(const Profiler& log, int nranks, bool zeroNetwork,
+                 bool zeroCompute) {
+  using OpId = Profiler::OpId;
+  using OpRec = Profiler::OpRec;
+  using Item = Profiler::Item;
+  const double eagerThresh = log.eagerThreshold();
+
+  struct GateReplay {
+    int expected = 0;
+    double duration = -1.0;  // < 0: the gate never completed
+    int arrived = 0;
+    double maxArrival = 0.0;
+    double done = -1.0;
+  };
+  std::vector<GateReplay> gatesR(log.opCount());  // by OpRec::gate()
+  for (std::size_t id = 0; id < log.opCount(); ++id)
+    if (const OpRec* r = log.rec(id); r && r->kind == OpRec::Kind::Gate)
+      gatesR[r->gate()] =
+          GateReplay{log.gate(*r).nranks, log.gate(*r).duration, 0, 0.0, -1.0};
+  // The replay state of a completed gate op, or null.
+  const auto gateOf = [&](OpId op) -> GateReplay* {
+    const OpRec* r = log.rec(op);
+    if (!r || r->kind != OpRec::Kind::Gate) return nullptr;
+    GateReplay& g = gatesR[r->gate()];
+    return g.duration < 0 ? nullptr : &g;
+  };
+
+  // Replayed issue time per op id (p2p issues only), -1 = not yet.
+  std::vector<double> newIssue(log.opCount(), -1.0);
+
+  // A p2p op completes a measured span after its cause: the send's issue
+  // (eager, or unmatched fire-and-forget), else the later of the send's
+  // and the receive's issue (rendezvous).  The replay keeps the span and
+  // moves the cause to the replayed issue times.
+  const auto completionOf = [&](OpId op, double& out) {
+    const OpRec* self = log.rec(op);
+    if (!self) return false;
+    if (self->kind == OpRec::Kind::Gate) {
+      const GateReplay* g = gateOf(op);
+      if (!g || g->done < 0) return false;
+      out = g->done;
+      return true;
+    }
+    if (self->completion < 0) return false;  // never completed: never waited
+    const bool isSend = self->kind == OpRec::Kind::Send;
+    const OpId sendOp = isSend ? op : self->partner;
+    if (sendOp == Profiler::kNoOp) return false;  // unmatched recv
+    const OpId recvOp = isSend ? self->partner : op;
+    const OpRec& snd = *log.rec(sendOp);
+    const bool eager = snd.bytes <= eagerThresh || recvOp == Profiler::kNoOp;
+    const double cause =
+        eager ? snd.issue : std::max(snd.issue, log.rec(recvOp)->issue);
+    const double span = std::max(0.0, self->completion - cause);
+    double replayedCause;
+    if (eager) {
+      if (newIssue[sendOp] < 0) return false;
+      replayedCause = newIssue[sendOp];
+    } else {
+      const double si = newIssue[sendOp];
+      const double ri = newIssue[recvOp];
+      if (si < 0 || ri < 0) return false;
+      replayedCause = std::max(si, ri);
+    }
+    out = replayedCause + (zeroNetwork ? 0.0 : span);
+    return true;
+  };
+
+  // A rank parks at a Block whose ops are not yet resolvable.
+  std::vector<double> clock(static_cast<std::size_t>(nranks), 0.0);
+  const bool resolved = log.sweep([&](int r, const Item& it) {
+    double& now = clock[static_cast<std::size_t>(r)];
+    if (it.kind == Item::Kind::Compute) {
+      now += zeroCompute ? 0.0 : (it.end - it.begin);
+    } else if (it.kind == Item::Kind::Issue) {
+      if (GateReplay* g = gateOf(it.op)) {
+        ++g->arrived;
+        g->maxArrival = std::max(g->maxArrival, now);
+        if (g->arrived >= g->expected)
+          g->done = g->maxArrival + (zeroNetwork ? 0.0 : g->duration);
+      } else if (log.rec(it.op)->kind != OpRec::Kind::Gate) {
+        newIssue[it.op] = now;
+      }
+    } else {  // Block
+      double until = now;
+      if (it.any) {
+        // The replay resolves a waitAny against the op that actually
+        // fired in the executed schedule.
+        double c;
+        if (it.op == Profiler::kNoOp || !completionOf(it.op, c)) return false;
+        until = std::max(until, c);
+      } else {
+        for (const OpId op : log.waited(r, it)) {
+          double c;
+          if (!completionOf(op, c)) return false;
+          until = std::max(until, c);
+        }
+      }
+      now = until;
+    }
+    return true;
+  });
+  if (!resolved) return -1.0;  // a dependency never resolved
+  return *std::max_element(clock.begin(), clock.end());
+}
+
+/// The what-ifs the oracle derives from a finalized profiler's op log.
+WhatIf oracleWhatIf(const Profiler& log) {
+  const int n = log.profile().nranks;
+  WhatIf w;
+  w.measured = log.profile().makespan;
+  const double zn = replayLog(log, n, /*zeroNetwork=*/true, false);
+  const double zc = replayLog(log, n, false, /*zeroCompute=*/true);
+  if (zn >= 0 && zc >= 0) {
+    w.valid = true;
+    w.zeroNetwork = zn;
+    w.zeroCompute = zc;
+  }
+  return w;
+}
+
+/// Bit-for-bit agreement of the online what-ifs with the oracle's.
+void expectOracleWhatIf(const Profiler& prof, const std::string& what) {
+  ASSERT_TRUE(prof.finalized()) << what;
+  ASSERT_TRUE(prof.keepsLog()) << what;
+  ASSERT_FALSE(prof.truncated()) << what;
+  const WhatIf& online = prof.profile().whatIf;
+  const WhatIf oracle = oracleWhatIf(prof);
+  EXPECT_EQ(online.valid, oracle.valid) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(online.measured),
+            std::bit_cast<std::uint64_t>(oracle.measured))
+      << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(online.zeroNetwork),
+            std::bit_cast<std::uint64_t>(oracle.zeroNetwork))
+      << what << ": " << online.zeroNetwork << " vs " << oracle.zeroNetwork;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(online.zeroCompute),
+            std::bit_cast<std::uint64_t>(oracle.zeroCompute))
+      << what << ": " << online.zeroCompute << " vs " << oracle.zeroCompute;
+}
+
+/// Runs `program` on `nranks` BG/P ranks under a CaptureScope (so the
+/// profiler keeps its op log) and checks the what-ifs against the oracle.
+void checkProgramAgainstOracle(int nranks, const smpi::RankProgram& program,
+                               const std::string& what) {
+  smpi::analysis::CaptureScope capture;
+  Simulation sim(machineByName("BG/P"), nranks);
+  sim.run(program);
+  expectOracleWhatIf(*sim.profiler(), what);
+  EXPECT_TRUE(sim.profiler()->profile().whatIf.valid) << what;
+}
+
+TEST(ObsWhatIf, OnlineMatchesReplayOnEveryRegistryScenario) {
+  std::size_t checked = 0;
+  for (const smpi::analysis::Scenario& scenario :
+       smpi::analysis::scenarios()) {
+    ProfileScope scope;
+    smpi::analysis::CaptureScope capture;
+    try {
+      scenario.run();
+    } catch (const std::exception&) {  // a failed run is not finalized
+    }
+    for (const auto& prof : scope.profilers()) {
+      if (!prof->finalized()) continue;
+      expectOracleWhatIf(*prof, scenario.name);
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 20u);
+}
+
+// Each rank drains eager and rendezvous traffic with waitAny (so some
+// ops are offered to several waitAnys before one returns them), then
+// waits on all of them again: every op was returned already.
+sim::Task waitAnyProgram(Rank& self) {
+  const int n = self.size();
+  const int left = (self.id() + n - 1) % n;
+  const int right = (self.id() + 1) % n;
+  for (int iter = 0; iter < 3; ++iter) {
+    std::vector<smpi::Request> all;
+    all.push_back(self.irecv(left));
+    all.push_back(self.irecv(right));
+    all.push_back(self.isend(right, 256.0 * (1 + self.id() % 3)));
+    all.push_back(self.isend(left, 65536.0));
+    co_await self.compute(1e-6 * (1 + (self.id() * 7 + iter) % 5));
+    std::vector<smpi::Request> pending = all;
+    while (!pending.empty()) {
+      const std::size_t i = co_await self.waitAny(pending);
+      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    co_await self.waitAll(all);
+  }
+  co_await self.allreduce(8.0);
+}
+
+TEST(ObsWhatIf, OnlineMatchesReplayWithWaitAny) {
+  checkProgramAgainstOracle(6, waitAnyProgram, "waitAny");
+}
+
+TEST(ObsWhatIf, OnlineMatchesReplayWithANeverCompletedGate) {
+  // Rank 0 opens a barrier nobody else joins and never waits on it; the
+  // run still completes.  An incomplete gate constrains no replayed rank.
+  Simulation* simPtr = nullptr;
+  const smpi::RankProgram program = [&simPtr](Rank& self) -> sim::Task {
+    co_await self.compute(1e-6 * (1 + self.id()));
+    if (self.id() == 0)
+      simPtr->joinCollective(simPtr->world(), 0, net::CollKind::Barrier, 0.0,
+                             net::Dtype::Byte);
+    const int n = self.size();
+    co_await self.sendrecv((self.id() + 1) % n, 4096.0,
+                           (self.id() + n - 1) % n);
+    co_await self.compute(2e-6);
+  };
+  smpi::analysis::CaptureScope capture;
+  Simulation sim(machineByName("BG/P"), 4);
+  simPtr = &sim;
+  sim.run(program);
+  expectOracleWhatIf(*sim.profiler(), "never-completed gate");
+  EXPECT_TRUE(sim.profiler()->profile().whatIf.valid);
+}
+
+// A rendezvous the receiver gates: rank 1 posts its receive 1 ms late,
+// so the send's replayed completion hangs on the receiver's replayed post.
+sim::Task lateReceiverProgram(Rank& self) {
+  if (self.id() == 0) {
+    co_await self.send(1, 65536.0);
+    co_await self.compute(2e-3);
+  } else {
+    co_await self.compute(1e-3);
+    co_await self.recv(0);
+  }
+}
+
+TEST(ObsWhatIf, OnlineMatchesReplayOnSmallPrograms) {
+  checkProgramAgainstOracle(3, oracleProgram, "oracle");
+  checkProgramAgainstOracle(16, haloProgram, "halo");
+  checkProgramAgainstOracle(2, lateReceiverProgram, "late receiver");
+}
+
+// 16 rounds of a ring exchange on 64 ranks: 4,096 p2p ops, so the
+// profiler fills and frees its in-flight op chunks many times mid-run
+// (under ASan, any read of a retired chunk is reported).
+sim::Task ringRoundsProgram(Rank& self) {
+  const int n = self.size();
+  for (int round = 0; round < 16; ++round) {
+    std::vector<smpi::Request> ops;
+    ops.push_back(self.irecv((self.id() + n - 1) % n));
+    ops.push_back(self.isend((self.id() + 1) % n, round % 2 ? 8192.0 : 64.0));
+    co_await self.compute(1e-6 * (1 + (self.id() + round) % 4));
+    co_await self.waitAll(std::move(ops));
+  }
+}
+
+TEST(ObsWhatIf, ChunksRetiredMidRunKeepEveryResult) {
+  checkProgramAgainstOracle(64, ringRoundsProgram, "ring rounds");
+  const auto profileJson = [](bool captured) {
+    std::optional<smpi::analysis::CaptureScope> capture;
+    if (captured) capture.emplace();
+    Simulation sim(machineByName("BG/P"), 64);
+    sim.enableProfile();
+    sim.run(ringRoundsProgram);
+    EXPECT_TRUE(sim.profiler()->profile().critical.complete);
+    std::ostringstream os;
+    writeJson(os, sim.profiler()->profile(), "ring");
+    return os.str();
+  };
+  EXPECT_EQ(profileJson(false), profileJson(true));
+}
+
+// ---- the profile does not depend on the op log --------------------------------
+
+/// writeJson of every profile the registry scenarios produce, each
+/// scenario's sorted (pool threads may construct them in any order), with
+/// or without a CaptureScope — which makes every profiler on this thread
+/// also keep the op log — around each scenario.
+std::vector<std::string> registryProfiles(bool captured,
+                                          std::size_t* logs = nullptr) {
+  std::vector<std::string> out;
+  for (const smpi::analysis::Scenario& scenario :
+       smpi::analysis::scenarios()) {
+    ProfileScope scope;
+    std::optional<smpi::analysis::CaptureScope> capture;
+    if (captured) capture.emplace();
+    try {
+      scenario.run();
+    } catch (const std::exception&) {
+    }
+    std::vector<std::string> jsons;
+    for (const auto& prof : scope.profilers()) {
+      if (!prof->finalized()) continue;
+      if (logs && prof->keepsLog()) ++*logs;
+      std::ostringstream os;
+      writeJson(os, prof->profile(), scenario.name);
+      jsons.push_back(os.str());
+    }
+    std::sort(jsons.begin(), jsons.end());
+    out.insert(out.end(), jsons.begin(), jsons.end());
+  }
+  return out;
+}
+
+TEST(ObsLevels, OpLogLeavesEveryRegistryProfileByteIdentical) {
+  std::size_t logs = 0;
+  const std::vector<std::string> plain = registryProfiles(false);
+  const std::vector<std::string> logged = registryProfiles(true, &logs);
+  EXPECT_GT(logs, 20u);
+  ASSERT_EQ(plain.size(), logged.size());
+  for (std::size_t i = 0; i < plain.size(); ++i)
+    EXPECT_EQ(plain[i], logged[i]) << "profile " << i;
 }
 
 }  // namespace
