@@ -21,13 +21,9 @@
 //             trailing-update compute per iteration — the mix HPL
 //             prediction at paper scale exercises.
 //
-// The harness also re-measures the 22-scenario runner sweep (serial vs the
-// work-stealing pool) and writes everything to BENCH_pr3.json (path via
-// --json=...).
-//
 // Flags: --full (sweep to 131,072 ranks; default stops at 8,192),
-//        --ranks=N (single scale), --json=PATH, --no-fork (in-process,
-//        for debugging; RSS column reports 0), --golden (in-process; print
+//        --ranks=N (single scale), --no-fork (in-process, for debugging;
+//        RSS column reports the whole process), --golden (in-process; print
 //        only the deterministic columns — scenario, ranks, %.17g makespan,
 //        events — and stop: the bench_golden_scale_ranks ctest diffs this
 //        against tests/golden/bench/scale_ranks.txt).
@@ -40,23 +36,16 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <functional>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "arch/machines.hpp"
 #include "bench/bench_common.hpp"
-#include "hpcc/hpl_sim.hpp"
-#include "microbench/halo.hpp"
 #include "obs/breakdown.hpp"
 #include "smpi/simulation.hpp"
 #include "support/table.hpp"
-#include "support/thread_pool.hpp"
 #include "topo/process_grid.hpp"
 
 namespace {
@@ -239,48 +228,12 @@ Point measurePoint(const std::string& family, int nranks,
   return p;
 }
 
-// ---- PR 2 re-measurement (scenario runner) ---------------------------------
-// The same 22-scenario sweep sim_throughput times (18 halo configurations,
-// 2 HPL panels, 2 alltoall storms), re-run here so BENCH_pr3.json records
-// the runner after the cost-aware chunking/serial-fallback fix.
-
-double haloScenario(int nranks, int rows, int words,
-                    const std::string& mapping) {
-  bgp::microbench::HaloConfig c;
-  c.machine = bgp::arch::machineByName("BG/P");
-  c.nranks = nranks;
-  c.gridRows = rows;
-  c.gridCols = nranks / rows;
-  c.mapping = mapping;
-  return bgp::microbench::runHalo(c, words);
-}
-
-double hplScenario(int gp, int gq, std::int64_t n) {
-  bgp::hpcc::HplSimConfig cfg{bgp::arch::machineByName("BG/P"), n, 96, gp,
-                              gq};
-  return bgp::hpcc::runHplSimulation(cfg).seconds;
-}
-
-double alltoallStorm(int nranks, double bytesPerPair, int reps) {
-  bgp::smpi::Simulation sim(bgp::arch::machineByName("BG/P"), nranks,
-                            vnOpts());
-  const auto r = sim.run([&](bgp::smpi::Rank& self) -> bgp::sim::Task {
-    for (int i = 0; i < reps; ++i) {
-      co_await self.alltoall(bytesPerPair);
-      const int peer = (self.id() + 1) % self.size();
-      co_await self.sendrecv(peer, 4096, bgp::smpi::kAnySource);
-    }
-  });
-  return r.makespan;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace bgp;
   const auto opts = bench::BenchOptions::parse(argc, argv);
   const Cli cli(argc, argv);
-  const std::string jsonPath = cli.get("json", "BENCH_pr3.json");
   const bool golden = cli.getBool("golden");
   const bool useFork = !golden && !cli.getBool("no-fork");
   const std::string scratch =
@@ -298,8 +251,6 @@ int main(int argc, char** argv) {
   const std::vector<std::string> families = {"halo", "allreduce",
                                              "hplpanel"};
 
-  // ---- 1. the scale sweep --------------------------------------------------
-  std::vector<Point> points;
   if (golden) {
     Table t({"scenario", "ranks", "makespan (s)", "events"});
     for (int nranks : scales) {
@@ -314,133 +265,33 @@ int main(int argc, char** argv) {
     t.print(std::cout);
     return 0;
   }
-  {
-    Table t({"scenario", "ranks", "makespan (s)", "events", "events/sec",
-             "wall (s)", "peak RSS (MiB)", "bytes/rank", "comm frac",
-             "imbalance"});
-    for (int nranks : scales) {
-      for (const auto& family : families) {
-        const Point p = measurePoint(family, nranks, scratch, useFork);
-        points.push_back(p);
-        char mk[64], ev[32], eps[32], wl[32], rss[32], bpr[32], cf[32],
-            im[32];
-        std::snprintf(mk, sizeof mk, "%.17g", p.r.makespan);
-        std::snprintf(ev, sizeof ev, "%llu",
-                      static_cast<unsigned long long>(p.r.events));
-        std::snprintf(eps, sizeof eps, "%.3g",
-                      p.r.wall > 0 ? static_cast<double>(p.r.events) / p.r.wall
-                                   : 0.0);
-        std::snprintf(wl, sizeof wl, "%.2f", p.r.wall);
-        std::snprintf(rss, sizeof rss, "%.0f", p.maxRssKiB / 1024.0);
-        std::snprintf(bpr, sizeof bpr, "%.0f",
-                      p.maxRssKiB * 1024.0 / std::max(1, p.nranks));
-        std::snprintf(cf, sizeof cf, "%.3f", p.r.stats.commFraction);
-        std::snprintf(im, sizeof im, "%.3f", p.r.stats.computeImbalance);
-        t.addRow({family, std::to_string(nranks), mk, ev, eps, wl, rss,
-                  bpr, cf, im});
-      }
+  Table t({"scenario", "ranks", "makespan (s)", "events", "events/sec",
+           "wall (s)", "peak RSS (MiB)", "bytes/rank", "comm frac",
+           "imbalance"});
+  for (int nranks : scales) {
+    for (const auto& family : families) {
+      const Point p = measurePoint(family, nranks, scratch, useFork);
+      char mk[64], ev[32], eps[32], wl[32], rss[32], bpr[32], cf[32],
+          im[32];
+      std::snprintf(mk, sizeof mk, "%.17g", p.r.makespan);
+      std::snprintf(ev, sizeof ev, "%llu",
+                    static_cast<unsigned long long>(p.r.events));
+      std::snprintf(eps, sizeof eps, "%.3g",
+                    p.r.wall > 0 ? static_cast<double>(p.r.events) / p.r.wall
+                                 : 0.0);
+      std::snprintf(wl, sizeof wl, "%.2f", p.r.wall);
+      std::snprintf(rss, sizeof rss, "%.0f", p.maxRssKiB / 1024.0);
+      std::snprintf(bpr, sizeof bpr, "%.0f",
+                    p.maxRssKiB * 1024.0 / std::max(1, p.nranks));
+      std::snprintf(cf, sizeof cf, "%.3f", p.r.stats.commFraction);
+      std::snprintf(im, sizeof im, "%.3f", p.r.stats.computeImbalance);
+      t.addRow({family, std::to_string(nranks), mk, ev, eps, wl, rss,
+                bpr, cf, im});
     }
-    t.print(std::cout);
-    bench::note("makespans printed at %.17g: the 1k-4k rows must be "
-                "byte-identical across simulator revisions");
   }
+  t.print(std::cout);
+  bench::note("makespans printed at %.17g: the 1k-4k rows must be "
+              "byte-identical across simulator revisions");
   if (useFork) std::remove(scratch.c_str());
-
-  // ---- 2. the 22-scenario runner sweep, re-measured ------------------------
-  std::vector<std::function<double()>> scenarios;
-  for (const char* mapping : {"TXYZ", "XYZT"})
-    for (int nranks : {512, 1024, 2048})
-      for (int words : {16, 512, 2048}) {
-        const int rows = nranks == 512 ? 16 : 32;
-        scenarios.push_back(
-            [=] { return haloScenario(nranks, rows, words, mapping); });
-      }
-  scenarios.push_back([] { return hplScenario(4, 8, 3840); });
-  scenarios.push_back([] { return hplScenario(8, 8, 3840); });
-  scenarios.push_back([] { return alltoallStorm(256, 512, 2); });
-  scenarios.push_back([] { return alltoallStorm(512, 128, 2); });
-
-  // Interleave the serial and pooled passes and take best-of-N for each:
-  // running all serial passes first would hand every bit of allocator and
-  // frequency warm-up to one side, which on a 1-core box (where both
-  // modes execute the same inline loop) shows up as a phantom slowdown.
-  const int sweepReps = opts.full ? 3 : 2;
-  auto& pool = support::ThreadPool::global();
-  std::vector<double> serial(scenarios.size());
-  std::vector<double> parallel(scenarios.size());
-  double serialWall = 0.0, parallelWall = 0.0;
-  for (int r = 0; r < sweepReps; ++r) {
-    const auto s0 = WallClock::now();
-    for (std::size_t i = 0; i < scenarios.size(); ++i)
-      serial[i] = scenarios[i]();
-    const auto s1 = WallClock::now();
-    const double ws = seconds(s0, s1);
-    if (r == 0 || ws < serialWall) serialWall = ws;
-    const auto p0 = WallClock::now();
-    pool.parallelFor(scenarios.size(),
-                     [&](std::size_t i) { parallel[i] = scenarios[i](); });
-    const auto p1 = WallClock::now();
-    const double wp = seconds(p0, p1);
-    if (r == 0 || wp < parallelWall) parallelWall = wp;
-  }
-  const bool deterministic = serial == parallel;
-  const double runnerSpeedup =
-      parallelWall > 0 ? serialWall / parallelWall : 0.0;
-  {
-    Table t({"sweep", "scenarios", "threads", "wall (s)", "speedup"});
-    char a[32], b[32], c[32];
-    std::snprintf(a, sizeof a, "%zu", scenarios.size());
-    std::snprintf(b, sizeof b, "%.2f", serialWall);
-    t.addRow({"serial", a, "1", b, "1.00x"});
-    std::snprintf(b, sizeof b, "%.2f", parallelWall);
-    std::snprintf(c, sizeof c, "%.2fx", runnerSpeedup);
-    t.addRow({"work-stealing runner", a, std::to_string(pool.threadCount()),
-              b, c});
-    t.print(std::cout);
-    bench::note(deterministic
-                    ? "parallel results byte-identical to serial order"
-                    : "ERROR: parallel results DIVERGED from serial order");
-  }
-
-  // ---- JSON trajectory record ---------------------------------------------
-  {
-    std::ofstream js(jsonPath);
-    js.precision(17);
-    js << "{\n"
-       << "  \"pr\": 3,\n"
-       << "  \"bench\": \"scale_ranks\",\n"
-       << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
-       << ",\n"
-       << "  \"rank_scale_sweep\": [\n";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const Point& p = points[i];
-      js << "    {\"scenario\": \"" << p.family << "\", \"ranks\": "
-         << p.nranks << ", \"makespan_s\": " << p.r.makespan
-         << ", \"events\": " << p.r.events << ", \"wall_s\": " << p.r.wall
-         << ", \"events_per_sec\": "
-         << (p.r.wall > 0 ? static_cast<double>(p.r.events) / p.r.wall : 0.0)
-         << ", \"peak_rss_kib\": " << p.maxRssKiB << ", \"bytes_per_rank\": "
-         << p.maxRssKiB * 1024.0 / std::max(1, p.nranks)
-         << ", \"compute_s\": " << p.r.stats.computeSeconds
-         << ", \"p2p_wait_s\": " << p.r.stats.p2pWaitSeconds
-         << ", \"coll_wait_s\": " << p.r.stats.collWaitSeconds
-         << ", \"comm_fraction\": " << p.r.stats.commFraction
-         << ", \"compute_imbalance\": " << p.r.stats.computeImbalance << "}"
-         << (i + 1 < points.size() ? "," : "") << "\n";
-    }
-    js << "  ],\n"
-       << "  \"scenario_runner\": {\n"
-       << "    \"scenarios\": " << scenarios.size() << ",\n"
-       << "    \"threads\": " << pool.threadCount() << ",\n"
-       << "    \"serial_wall_seconds\": " << serialWall << ",\n"
-       << "    \"parallel_wall_seconds\": " << parallelWall << ",\n"
-       << "    \"speedup\": " << runnerSpeedup << ",\n"
-       << "    \"deterministic\": " << (deterministic ? "true" : "false")
-       << "\n"
-       << "  }\n"
-       << "}\n";
-    bench::note("wrote " + jsonPath);
-  }
-
-  return deterministic ? 0 : 1;
+  return 0;
 }

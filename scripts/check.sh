@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# The one-command gate: default build + full ctest, sanitizer tier-1 and
-# golden outputs, source lint, the smpilint paper-scenario sweep, and the
-# bgpprof observability smoke (profile determinism + invariants).  Green
-# here means shippable.
+# The one-command gate: warning-free default build + full ctest, sanitizer
+# tier-1 and golden outputs, source lint, the smpilint paper-scenario
+# sweep, and the bgpprof observability smoke (profile determinism +
+# invariants).  Green here means shippable.
 #
 # Usage: scripts/check.sh [--skip-sanitize] [--skip-tsan]
 set -euo pipefail
@@ -22,9 +22,18 @@ done
 
 jobs="$(nproc 2>/dev/null || echo 2)"
 
-echo "==> [1/6] default build + full ctest"
+echo "==> [1/6] default build (no compiler warnings) + full ctest"
 cmake --preset default >/dev/null
-cmake --build --preset default -j"$jobs"
+# A clean rebuild, so every translation unit's warnings reach the log.
+# The gate lives here, not in -Werror: other builds of src/ (perfbench's
+# among them) must never fail on a warning.
+build_log="$repo_root/build/check-build.log"
+cmake --build --preset default -j"$jobs" --clean-first 2>&1 | tee "$build_log"
+if grep -q "warning:" "$build_log"; then
+  echo "check.sh: the default build has compiler warnings:" >&2
+  grep "warning:" "$build_log" >&2
+  exit 1
+fi
 ctest --preset default -j"$jobs"
 
 if [[ $skip_sanitize -eq 0 ]]; then

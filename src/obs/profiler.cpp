@@ -38,19 +38,13 @@ const char* Profiler::collName(net::CollKind kind) {
   return "collective";
 }
 
-Profiler::Profiler(smpi::Simulation& sim, ProfileOptions options,
-                   bool keepLog)
+Profiler::Profiler(smpi::Simulation& sim, ProfileOptions options)
     : sim_(&sim),
       options_(options),
-      keepLog_(keepLog),
       eagerThresh_(sim.system().eagerThreshold()) {
   const auto n = static_cast<std::size_t>(sim.nranks());
   ranks_.resize(n);
   spans_.resize(n);
-  if (keepLog_) {
-    items_.resize(n);
-    waitOps_.resize(n);
-  }
   siteNames_.emplace_back();
   siteIndex_.emplace(std::string(), 0);
   siteAggs_.resize(kOpSlots);
@@ -77,7 +71,7 @@ std::uint32_t Profiler::kindSlot(smpi::OpState::Kind kind) {
 }
 
 Profiler::LiveOp* Profiler::addLive(std::uint64_t id, LiveOp::Kind kind) {
-  if (id >= kNoOp) {
+  if (id >= kOpIdLimit) {
     truncated_ = true;
     return nullptr;
   }
@@ -117,11 +111,6 @@ void Profiler::noteWaited(const smpi::OpState& op) {
   if (r->kind == LiveOp::Kind::Recv || r->matched) retire(op.id, *r);
 }
 
-Profiler::OpRec& Profiler::addRec(std::uint64_t id) {
-  if (id >= ops_.size()) ops_.resize(id + 1);
-  return ops_[id];
-}
-
 void Profiler::checkBudget() {
   if (truncated_) return;
   if (opCount_ >= options_.maxOps || itemCount_ >= options_.maxOps * 4)
@@ -158,8 +147,8 @@ void Profiler::histAdd(sim::SimTime t, double bytes) {
 // duration (zc) or 0.0 (zn) after its latest replayed arrival; a wait
 // lifts its rank to the latest replayed completion it returned.
 
-void Profiler::onP2pIssue(const smpi::Comm& comm, const smpi::OpState& op,
-                          double expectedBytes, sim::SimTime now) {
+void Profiler::onIssue(const smpi::Comm& comm, const smpi::OpState& op,
+                       double, sim::SimTime now) {
   const int rank = op.ownerWorld;
   const bool isSend = op.kind == smpi::OpState::Kind::Send;
   SiteAgg& agg = siteAgg(rank, isSend ? kSendSlot : kRecvSlot);
@@ -178,26 +167,6 @@ void Profiler::onP2pIssue(const smpi::Comm& comm, const smpi::OpState& op,
     r->bytes = op.bytes;
     r->peer = comm.worldRank(op.peer);
   }
-  if (keepLog_) {
-    OpRec& lr = addRec(op.id);
-    lr.issue = now;
-    lr.world = rank;
-    if (isSend) {
-      lr.kind = OpRec::Kind::Send;
-      lr.bytes = op.bytes;
-      lr.peerOrGate = r->peer;
-    } else {
-      lr.kind = OpRec::Kind::Recv;
-      lr.bytes = expectedBytes;
-      lr.peerOrGate = op.peer;
-    }
-    Item item;
-    item.begin = now;
-    item.op = static_cast<OpId>(op.id);
-    item.tag = op.tag;
-    item.commId = comm.id();
-    items_[static_cast<std::size_t>(rank)].push_back(item);
-  }
   ++itemCount_;
   checkBudget();
 }
@@ -205,21 +174,11 @@ void Profiler::onP2pIssue(const smpi::Comm& comm, const smpi::OpState& op,
 void Profiler::onComplete(const smpi::OpState& op, sim::SimTime now) {
   LiveOp* r = live(op.id);
   if (r && r->completion < 0) r->completion = now;
-  if (!keepLog_) return;
-  OpRec* lr = rec(op.id);
-  if (lr && lr->completion < 0) lr->completion = now;
 }
 
-void Profiler::onMatch(const smpi::OpState& sendOp,
+void Profiler::onMatch(const smpi::Comm&, int, int, int, double, double,
+                       const smpi::OpState& sendOp,
                        const smpi::OpState& recvOp) {
-  if (keepLog_) {
-    OpRec* s = rec(sendOp.id);
-    OpRec* r = rec(recvOp.id);
-    if (s && r) {
-      s->partner = static_cast<OpId>(recvOp.id);
-      r->partner = static_cast<OpId>(sendOp.id);
-    }
-  }
   LiveOp* s = live(sendOp.id);
   LiveOp* r = live(recvOp.id);
   if (!s || !r) return;  // one side issued after the budget hit
@@ -238,9 +197,11 @@ void Profiler::onMatch(const smpi::OpState& sendOp,
   if (s->waited) retire(sendOp.id, *s);
 }
 
-void Profiler::onCollArrival(const smpi::Comm& comm, const smpi::OpState& op,
-                             const smpi::CollSig& sig, double bytes,
-                             int commRank, sim::SimTime now) {
+void Profiler::onGateArrive(const smpi::Comm& comm,
+                            const smpi::Comm::CollGate& gate, int commRank,
+                            const smpi::CollSig& sig, double bytes,
+                            sim::SimTime now) {
+  const smpi::OpState& op = *gate.op;
   const int rank = comm.worldRank(commRank);
   SiteAgg& agg = siteAgg(rank, collSlot(sig.kind));
   ++agg.count;
@@ -255,64 +216,38 @@ void Profiler::onCollArrival(const smpi::Comm& comm, const smpi::OpState& op,
     g->full = comm.id() == 0;
     g->coll = sig.kind;
     g->dt = sig.dt;
-    if (keepLog_) {
-      OpRec& lr = addRec(op.id);
-      lr.issue = now;
-      lr.bytes = bytes;
-      lr.world = rank;
-      lr.kind = OpRec::Kind::Gate;
-      lr.peerOrGate = static_cast<std::int32_t>(gates_.size());
-      GateRec gr;
-      gr.nranks = comm.size();
-      gr.commId = comm.id();
-      gr.seq = op.collSeq;
-      gr.sig = sig;
-      gates_.push_back(gr);
-    }
   }
   const RankState& rs = ranks_[static_cast<std::size_t>(rank)];
   g->zn = std::max(g->zn, rs.zn);
   g->zc = std::max(g->zc, rs.zc);
-  if (keepLog_) {
-    Item item;
-    item.begin = now;
-    item.sig = sig;
-    item.op = static_cast<OpId>(op.id);
-    items_[static_cast<std::size_t>(rank)].push_back(item);
-  }
   ++itemCount_;
   checkBudget();
 }
 
-void Profiler::onCollComplete(const smpi::Comm& comm, const smpi::OpState& op,
-                              const smpi::CollSig& sig, double bytes,
-                              int lastWorld, sim::SimTime lastArrival,
-                              double duration, sim::SimTime done) {
-  CollAgg& agg = collAggs_[sig.kind];
+void Profiler::onGateDone(const smpi::Comm& comm,
+                          const smpi::Comm::CollGate& gate, int lastRank,
+                          double duration, sim::SimTime done) {
+  const net::CollKind kind = gate.sig.kind;
+  CollAgg& agg = collAggs_[kind];
   ++agg.gates;
-  agg.bytes += bytes;
+  agg.bytes += gate.bytes;
   agg.costSeconds += duration;
   const net::CollectiveModel& model = sim_->system().collectives();
   const bool full = comm.id() == 0;
-  if (model.usesTreeNetwork(sig.kind, full)) {
+  if (model.usesTreeNetwork(kind, full)) {
     ++agg.treeGates;
-  } else if (model.usesBarrierNetwork(sig.kind, full)) {
+  } else if (model.usesBarrierNetwork(kind, full)) {
     ++agg.barrierGates;
   } else {
     ++agg.torusGates;
   }
   if (!detailed()) return;
-  LiveOp* g = live(op.id);
+  LiveOp* g = live(gate.op->id);
   if (!g) return;
-  g->lastArrival = lastArrival;
-  g->world = lastWorld;
+  g->lastArrival = gate.lastArrival;
+  g->world = comm.worldRank(lastRank);
   g->duration = duration;
   g->completion = done;
-  if (keepLog_) {
-    OpRec* r = rec(op.id);
-    gates_[r->gate()].duration = duration;
-    r->completion = done;
-  }
 }
 
 void Profiler::onCompute(int rank, sim::SimTime now, double seconds) {
@@ -323,18 +258,11 @@ void Profiler::onCompute(int rank, sim::SimTime now, double seconds) {
   rs.zc += 0.0;
   if (end > now)
     spans_[static_cast<std::size_t>(rank)].emplace_back(now, end);
-  if (keepLog_) {
-    Item item;
-    item.kind = Item::Kind::Compute;
-    item.begin = now;
-    item.end = end;
-    items_[static_cast<std::size_t>(rank)].push_back(item);
-  }
   ++itemCount_;
   checkBudget();
 }
 
-void Profiler::onBlockBegin(int rank, sim::SimTime now) {
+void Profiler::onBlock(int rank, sim::SimTime now) {
   RankState& rs = ranks_[static_cast<std::size_t>(rank)];
   rs.blockBegin = now;
   rs.blocked = true;
@@ -386,19 +314,6 @@ void Profiler::onWaitDone(int rank, const std::vector<smpi::Request>& ops,
     if (now > begin)
       spans_[static_cast<std::size_t>(rank)].push_back(
           resolveBlock(begin, now, release));
-    if (keepLog_) {
-      auto& wl = waitOps_[static_cast<std::size_t>(rank)];
-      Item item;
-      item.kind = Item::Kind::Block;
-      item.begin = begin;
-      item.end = now;
-      item.op = release ? static_cast<OpId>(release->id) : kNoOp;
-      item.firstWait = static_cast<std::uint32_t>(wl.size());
-      item.waitCount = static_cast<std::uint32_t>(ops.size());
-      item.any = any;
-      for (const auto& op : ops) wl.push_back(static_cast<OpId>(op->id));
-      items_[static_cast<std::size_t>(rank)].push_back(item);
-    }
     itemCount_ += 1 + ops.size();
     checkBudget();
   }
@@ -689,7 +604,7 @@ void Profiler::finalize(const smpi::RunResult& result) {
     }
   }
 
-  // Release the detailed state; the RunProfile and the op log survive.
+  // Release the detailed state; the RunProfile survives.
   sim_->system().torusNetwork().attachObserver(nullptr);
   std::vector<std::unique_ptr<Chunk>>().swap(chunks_);
   std::vector<RankState>().swap(ranks_);
@@ -721,9 +636,9 @@ ProfileScope::~ProfileScope() { gActiveProfileScope.store(prev_); }
 
 ProfileScope* ProfileScope::active() { return gActiveProfileScope.load(); }
 
-Profiler& ProfileScope::attach(smpi::Simulation& sim, bool keepLog) {
+Profiler& ProfileScope::attach(smpi::Simulation& sim) {
   const std::lock_guard<std::mutex> lock(mu_);
-  profilers_.push_back(std::make_unique<Profiler>(sim, options_, keepLog));
+  profilers_.push_back(std::make_unique<Profiler>(sim, options_));
   return *profilers_.back();
 }
 

@@ -1,19 +1,16 @@
 #pragma once
-// The profiling plane: null-guard zero-cost observation of one
-// Simulation.  Like the verifier, its hooks are called from Simulation's
-// per-event notification points behind a null check and never schedule
-// events, so a profile-off run is byte-identical to a build without this
-// module, and a profile-on run produces identical simulated timings.
+// The profiling plane: zero-cost-when-off observation of one Simulation.
+// Like the verifier, it is one of the Simulation's smpi::Observers: its
+// hooks run only while it is attached and never schedule events, so a
+// profile-off run is byte-identical to a build without this module, and a
+// profile-on run produces identical simulated timings.
 //
 // Ways to turn it on:
 //  * Simulation::enableProfile() — programs that own their Simulation;
 //  * ProfileScope — RAII scope that profiles EVERY Simulation
 //    constructed while it is alive, process-wide (the bench harness runs
 //    scenarios on a thread pool, and --profile must see all of them);
-//  * tools/bgpprof — wraps the scenario registry in a ProfileScope;
-//  * analysis::CaptureScope — a Simulation built under one and under no
-//    ProfileScope gets a profiler of its own, whose op log becomes the
-//    scope's op-graph.
+//  * tools/bgpprof — wraps the scenario registry in a ProfileScope.
 //
 // What the profiler keeps (docs/observability.md has the memory table):
 //  * per rank: the open block, the overlap total, the current call-site
@@ -24,14 +21,10 @@
 //    partner's facts and the replayed issue, in fixed-size chunks keyed by
 //    op id.  A chunk is freed once every op in it has completed, been
 //    waited on and, for sends, been matched; an op that is never waited on
-//    pins its chunk (memory, never correctness);
-//  * only when an analysis::CaptureScope was live at construction
-//    (`keepLog`): the full op log — OpRec per op, Item per
-//    issue/compute/wait, GateRec per gate — that analysis::buildOpGraph
-//    reads.
-// The what-ifs are evaluated online: each hook advances the same max-plus
-// recurrence a replay of the log would, in causal order, with the same
-// arithmetic, so the profile does not depend on whether the log is kept.
+//    pins its chunk (memory, never correctness).
+// It keeps no record of finished ops.  The what-ifs are evaluated online:
+// each hook advances the same max-plus recurrence a replay of the whole
+// run would, in causal order, with the same arithmetic.
 // Everything is keyed by the per-Simulation op id, so the profiler keeps
 // no op alive.  It registers no completion waiter either: Simulation
 // reports each send/receive completion through onComplete, so an op's
@@ -41,17 +34,16 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "net/collective_model.hpp"
 #include "net/torus_network.hpp"
 #include "obs/profile.hpp"
+#include "smpi/observer.hpp"
 #include "smpi/types.hpp"
 
 namespace bgp::smpi {
-class Comm;
 class Rank;
 class Simulation;
 }  // namespace bgp::smpi
@@ -68,47 +60,36 @@ struct ProfileOptions {
   int topK = 10;
 };
 
-class Profiler final : public net::TorusNetwork::LinkObserver {
+class Profiler final : public smpi::Observer,
+                       public net::TorusNetwork::LinkObserver {
  public:
   /// Attaches to `sim` (wires itself as the torus network's link
   /// observer).  `sim` must outlive every hook call; finalize() severs
-  /// the connection, after which profile() and, with `keepLog`, the op
-  /// log remain valid.  `keepLog` also records the full op log (Simulation
-  /// sets it when an analysis::CaptureScope was live at its construction).
-  Profiler(smpi::Simulation& sim, ProfileOptions options,
-           bool keepLog = false);
+  /// the connection, after which profile() remains valid.
+  Profiler(smpi::Simulation& sim, ProfileOptions options);
   ~Profiler() override;
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
-  // ---- runtime hooks (called by Simulation/Rank when enabled) ----------
-  void onP2pIssue(const smpi::Comm& comm, const smpi::OpState& op,
-                  double expectedBytes, sim::SimTime now);
-  /// A send/receive completed at `now`.
-  void onComplete(const smpi::OpState& op, sim::SimTime now);
-  /// A send was matched to a receive.
-  void onMatch(const smpi::OpState& sendOp, const smpi::OpState& recvOp);
-  /// Comm rank `commRank` arrived at the gate whose shared op is `op`,
-  /// calling `sig` with `bytes`.
-  void onCollArrival(const smpi::Comm& comm, const smpi::OpState& op,
-                     const smpi::CollSig& sig, double bytes, int commRank,
-                     sim::SimTime now);
-  /// The gate's last member (world rank `lastWorld`) arrived; `sig` is the
-  /// opener's, `bytes` the modeled payload, `duration` the modeled cost,
-  /// and `done` = lastArrival + duration is when every member resumes.
-  void onCollComplete(const smpi::Comm& comm, const smpi::OpState& op,
-                      const smpi::CollSig& sig, double bytes, int lastWorld,
-                      sim::SimTime lastArrival, double duration,
-                      sim::SimTime done);
-  void onCompute(int rank, sim::SimTime now, double seconds);
-  /// The rank suspended on a wait (only called when it actually blocks).
-  void onBlockBegin(int rank, sim::SimTime now);
-  /// A waitAny returned ops[fired], or (fired == ops.size()) a
-  /// wait/waitAll returned `ops`.  Called from await_resume whether or
-  /// not the rank suspended (a ready-at-await wait is a zero-width
-  /// block, which still matters to the what-if dependency replay).
+  // ---- smpi::Observer --------------------------------------------------
+  void onIssue(const smpi::Comm& comm, const smpi::OpState& op,
+               double expectedBytes, sim::SimTime now) override;
+  void onComplete(const smpi::OpState& op, sim::SimTime now) override;
+  void onMatch(const smpi::Comm& comm, int src, int dst, int tag,
+               double bytes, double expectedBytes,
+               const smpi::OpState& sendOp,
+               const smpi::OpState& recvOp) override;
+  void onGateArrive(const smpi::Comm& comm, const smpi::Comm::CollGate& gate,
+                    int commRank, const smpi::CollSig& sig, double bytes,
+                    sim::SimTime now) override;
+  void onGateDone(const smpi::Comm& comm, const smpi::Comm::CollGate& gate,
+                  int lastRank, double duration, sim::SimTime done) override;
+  void onCompute(int rank, sim::SimTime now, double seconds) override;
+  void onBlock(int rank, sim::SimTime now) override;
+  /// A ready-at-await wait is a zero-width block, which still matters to
+  /// the what-if clocks.
   void onWaitDone(int rank, const std::vector<smpi::Request>& ops,
-                  std::size_t fired, sim::SimTime now);
+                  std::size_t fired, sim::SimTime now) override;
 
   // ---- net::TorusNetwork::LinkObserver ---------------------------------
   void onLinkClaim(topo::LinkId link, sim::SimTime claim, double serSeconds,
@@ -121,112 +102,10 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   std::string setSite(int rank, std::string label);
 
   /// Assembles the RunProfile.  Called by Simulation::run() on success
-  /// (while the Simulation is still alive); releases all detailed state
-  /// but the op log.
+  /// (while the Simulation is still alive); releases all detailed state.
   void finalize(const smpi::RunResult& result);
   bool finalized() const { return finalized_; }
   const RunProfile& profile() const { return profile_; }
-
-  // ---- the op log (kept with `keepLog`; read by analysis::buildOpGraph) -
-  /// Op ids as the log stores them.  Ids past the 32-bit range end
-  /// detailed recording like the maxOps budget does.
-  using OpId = std::uint32_t;
-  /// "No op" in an op-id field.
-  static constexpr OpId kNoOp = ~OpId{0};
-
-  /// One recorded timeline item.  Per rank, items append in program order
-  /// (a rank is sequential), which the op-graph relies on.
-  struct Item {
-    enum class Kind : std::uint8_t { Compute, Block, Issue };
-    Item() {}  // NOLINT: `= default` is deleted by the union holding `sig`
-    sim::SimTime begin = 0.0;
-    union {
-      sim::SimTime end = 0.0;  // Compute/Block
-      smpi::CollSig sig;       // Issue of a gate arrival: the arrival's
-    };
-    OpId op = kNoOp;  // Issue: the op; Block: releaser
-    union {
-      std::uint32_t firstWait = 0;  // Block: slice into waitOps_
-      std::int32_t tag;             // Issue of a send/receive
-    };
-    union {
-      std::uint32_t waitCount = 0;  // Block
-      std::int32_t commId;          // Issue of a send/receive
-    };
-    Kind kind = Kind::Issue;
-    bool any = false;  // Block came from a waitAny
-  };
-  static_assert(sizeof(Item) <= 32);
-
-  /// One op, indexed by its id in ops_.
-  struct OpRec {
-    sim::SimTime issue = 0.0;
-    sim::SimTime completion = -1.0;  // < 0: never completed / still open
-    /// Send: payload; Recv: declared size (< 0: none); Gate: the opener's.
-    double bytes = 0.0;
-    OpId partner = kNoOp;  // p2p: the matched op, if recorded
-    int world = -1;        // issuing world rank (Gate: the opener)
-    /// Send: destination world rank; Recv: wanted source comm rank (or
-    /// smpi::kAnySource); Gate: index into gates_.
-    std::int32_t peerOrGate = -1;
-    // None: an id the profiler did not record (budget hit first).
-    enum class Kind : std::uint8_t { None, Send, Recv, Gate } kind =
-        Kind::None;
-    std::size_t gate() const { return static_cast<std::size_t>(peerOrGate); }
-  };
-  static_assert(sizeof(OpRec) <= 40);
-
-  struct GateRec {
-    int nranks = 0;
-    int commId = -1;        // 0: the world, the full partition
-    std::uint64_t seq = 0;  // the gate's collective number on commId
-    smpi::CollSig sig;      // the opener's
-    double duration = -1.0;  // < 0: gate never completed
-  };
-
-  /// True once detailed recording stopped: the log then holds the run's
-  /// events up to some instant of the executed schedule.
-  bool truncated() const { return truncated_; }
-  /// Whether the op log below is recorded (see the constructor).
-  bool keepsLog() const { return keepLog_; }
-  /// The run's eager threshold, for readers that replay the log.
-  double eagerThreshold() const { return eagerThresh_; }
-  std::size_t opCount() const { return ops_.size(); }
-  /// The record of op `id`, or null if it was not recorded.
-  const OpRec* rec(std::uint64_t id) const {
-    return recorded(id) ? &ops_[id] : nullptr;
-  }
-  const GateRec& gate(const OpRec& r) const { return gates_[r.gate()]; }
-  /// Every op a Block item waited on (for a waitAny, also those that did
-  /// not fire).
-  std::span<const OpId> waited(int rank, const Item& block) const {
-    return std::span<const OpId>(waitOps_[static_cast<std::size_t>(rank)])
-        .subspan(block.firstWait, block.waitCount);
-  }
-
-  /// Visits every rank's items in program order, interleaved in an order
-  /// that respects the recorded dependencies: `step(rank, item)` returns
-  /// false to park the rank at an item whose dependencies are not visited
-  /// yet, to be offered again on the next pass.  False if one stays parked.
-  template <class Step>
-  bool sweep(Step&& step) const {
-    const std::size_t n = items_.size();
-    std::vector<std::size_t> idx(n, 0);
-    for (bool progress = true; progress;) {
-      progress = false;
-      for (std::size_t r = 0; r < n; ++r) {
-        const auto& list = items_[r];
-        while (idx[r] < list.size() &&
-               step(static_cast<int>(r), list[idx[r]])) {
-          ++idx[r];
-          progress = true;
-        }
-      }
-    }
-    for (std::size_t r = 0; r < n; ++r)
-      if (idx[r] != items_[r].size()) return false;
-    return true;
-  }
 
  private:
   struct SiteAgg {
@@ -343,12 +222,11 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
     bool blocked = false;    // a block is open
   };
 
+  /// Op ids from here on end detailed recording like the maxOps budget.
+  static constexpr std::uint64_t kOpIdLimit = ~std::uint32_t{0};
+
   /// Detailed recording is on until the op/item budget trips.
   bool detailed() const { return !truncated_; }
-  bool recorded(std::uint64_t id) const {
-    return id < ops_.size() && ops_[id].kind != OpRec::Kind::None;
-  }
-  OpRec* rec(std::uint64_t id) { return recorded(id) ? &ops_[id] : nullptr; }
   /// The in-flight record of op `id`, or null (never recorded, retired).
   LiveOp* live(std::uint64_t id) {
     const std::uint64_t c = id / kChunkOps;
@@ -357,8 +235,7 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
     return op.kind == LiveOp::Kind::None ? nullptr : &op;
   }
   /// Starts the in-flight record of op `id` (ids arrive in creation
-  /// order), or ends detailed recording and returns null when `id` does
-  /// not fit an OpId.
+  /// order), or ends detailed recording and returns null at kOpIdLimit.
   LiveOp* addLive(std::uint64_t id, LiveOp::Kind kind);
   /// Drops op `id`'s record; frees its chunk once the chunk is full and
   /// holds no live op.
@@ -372,8 +249,6 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   /// The block span [begin, end) released by `release` (null: unknown).
   Span resolveBlock(sim::SimTime begin, sim::SimTime end,
                     const smpi::OpState* release);
-  /// Adds the log record of op `id`.
-  OpRec& addRec(std::uint64_t id);
   void checkBudget();
   /// `rank`'s aggregate for its current site label and op `slot`.
   SiteAgg& siteAgg(int rank, std::uint32_t slot) {
@@ -399,7 +274,6 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
 
   smpi::Simulation* sim_;  // null after finalize()
   ProfileOptions options_;
-  bool keepLog_;
   double eagerThresh_;
   bool truncated_ = false;
   bool finalized_ = false;
@@ -410,12 +284,6 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   std::vector<std::unique_ptr<Chunk>> chunks_;  // by id / kChunkOps
   std::vector<RankState> ranks_;
   std::vector<std::vector<Span>> spans_;  // per rank, program order
-
-  // The op log (keepLog_ only).
-  std::vector<OpRec> ops_;      // by op id
-  std::vector<GateRec> gates_;  // by OpRec::gate()
-  std::vector<std::vector<Item>> items_;    // per rank
-  std::vector<std::vector<OpId>> waitOps_;  // per rank
 
   // Site labels are interned once per label change; each rank holds its
   // current label's index, so aggregating an op builds no string key.
@@ -454,9 +322,8 @@ class ProfileScope {
   static ProfileScope* active();
 
   /// Called by Simulation's constructor (thread-safe); returns the
-  /// Profiler the new Simulation must record into (`keepLog`: see
-  /// Profiler's constructor).
-  Profiler& attach(smpi::Simulation& sim, bool keepLog);
+  /// Profiler the new Simulation must record into.
+  Profiler& attach(smpi::Simulation& sim);
 
   /// One Profiler per Simulation constructed under the scope.  The
   /// construction order is thread-schedule dependent under the bench

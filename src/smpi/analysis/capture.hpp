@@ -1,22 +1,19 @@
 #pragma once
-// Capture mode: turns a Simulation's run into an analysis::OpGraph.
+// Capture mode: records a Simulation's run as an analysis::OpGraph.
 //
-// There is one recorder per run, the profiler's op log (obs/profiler.hpp),
-// which a profiler records only for a Simulation constructed under a
-// CaptureScope.  When the run ends — whether run() returns or throws —
-// Simulation hands that log to buildOpGraph (after Profiler::finalize,
-// which keeps the log, on success), and the graph lands in the
-// CaptureScope that was live when the Simulation was constructed.  A CaptureScope is how tools/smpilint wraps existing
-// scenario entry points (runHalo, runPop, runCommTests, ...) without
-// changing their signatures: the scope outlives the Simulations and keeps
-// their op-graphs.
+// A Simulation constructed while a CaptureScope is live on its thread
+// attaches the scope's recorder (CaptureScope::attach) as one of its
+// smpi::Observers.  The recorder appends one node per send issue, receive
+// post, gate arrival and wait return as each fires, so the graph is
+// complete whether run() returns or throws, and its node order — the
+// execution order — is a topological order (see OpGraph).  A CaptureScope
+// is how tools/smpilint wraps existing scenario entry points (runHalo,
+// runPop, runCommTests, ...) without changing their signatures: the scope
+// outlives the Simulations and keeps their op-graphs.
 //
-// A Simulation built under a CaptureScope records into the profiler of
-// its ProfileScope or of enableProfile() when it has one; otherwise it
-// gets a profiler of its own with the scope's maxOps as budget.  Either
-// way the profiler only observes, so capturing changes no simulated bit.
-// A graph is capped at CaptureOptions::maxOps nodes; past that, or when
-// the op log itself was truncated, the graph is marked truncated —
+// The recorder only observes, so capturing changes no simulated bit, and
+// it needs no profiler.  A graph is capped at CaptureOptions::maxOps
+// nodes; past that it is marked truncated and records nothing more —
 // reported, never silent.
 
 #include <cstdint>
@@ -25,19 +22,15 @@
 
 #include "smpi/analysis/op_graph.hpp"
 
-namespace bgp::obs {
-class Profiler;
-}
-
 namespace bgp::smpi {
-class Comm;
-}
+class Observer;
+class Simulation;
+}  // namespace bgp::smpi
 
 namespace bgp::smpi::analysis {
 
 struct CaptureOptions {
-  /// Graph node budget (and the op budget of a profiler the capture
-  /// creates).  Sized for lint-scale scenario runs, not 131k-rank
+  /// Graph node budget.  Sized for lint-scale scenario runs, not 131k-rank
   /// production sweeps.
   std::size_t maxOps = 4u << 20;
 };
@@ -49,7 +42,7 @@ struct CaptureOptions {
 class CaptureScope {
  public:
   explicit CaptureScope(CaptureOptions options = {});
-  ~CaptureScope();
+  virtual ~CaptureScope();
   CaptureScope(const CaptureScope&) = delete;
   CaptureScope& operator=(const CaptureScope&) = delete;
 
@@ -58,9 +51,10 @@ class CaptureScope {
 
   const CaptureOptions& options() const { return options_; }
 
-  /// Called by Simulation's constructor; returns the (empty) graph the new
-  /// Simulation's run fills.
-  OpGraph& attach(int nranks);
+  /// Called by Simulation's constructor, after the Simulation joined any
+  /// live obs::ProfileScope; returns the observer the Simulation owns and
+  /// notifies.  By default, the recorder of a new graph in graphs().
+  virtual std::unique_ptr<Observer> attach(Simulation& sim);
 
   /// One graph per Simulation constructed under the scope, in
   /// construction order (empty for one that never ran).  Valid until the
@@ -74,10 +68,5 @@ class CaptureScope {
   CaptureScope* prev_;
   std::vector<std::unique_ptr<OpGraph>> graphs_;
 };
-
-/// Builds `graph` from `log`, the op log of a run over `comms` (indexed by
-/// communicator id), in one dependency order of the log (see OpGraph).
-void buildOpGraph(const obs::Profiler& log,
-                  const std::vector<const Comm*>& comms, OpGraph& graph);
 
 }  // namespace bgp::smpi::analysis

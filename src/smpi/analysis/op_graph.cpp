@@ -45,9 +45,8 @@ const std::vector<std::int32_t>* OpGraph::gateArrivals(
 }
 
 void OpGraph::addGateArrival(int commId, std::uint64_t seq,
-                             std::int32_t nodeId, bool opener) {
-  auto& arrivals = gates_[{commId, seq}];
-  arrivals.insert(opener ? arrivals.begin() : arrivals.end(), nodeId);
+                             std::int32_t nodeId) {
+  gates_[{commId, seq}].push_back(nodeId);
 }
 
 void OpGraph::noteComm(int commId, CommInfo info) {

@@ -2,12 +2,12 @@
 // The communication op-graph: the schedule-independent record of one
 // simulated run that the static analysis passes reason over.
 //
-// Built from the profiler's op log when a captured run ends (see
-// capture.hpp): one node per send issue, receive post, collective arrival
-// and wait return, in the order the log's dependency sweep visits them.
-// That order respects each rank's program order and the message and
-// collective edges below, so it is a topological order of the graph and
-// vector clocks can be computed in a single forward pass.
+// Recorded online by a CaptureScope (see capture.hpp): one node per send
+// issue, receive post, collective arrival and wait return, appended as
+// each fires.  That execution order respects each rank's program order
+// and the message and collective edges below (a wait returns only after
+// the ops it returns completed), so it is a topological order of the
+// graph and vector clocks can be computed in a single forward pass.
 //
 // Happens-before edges (computeClocks):
 //  * program order: consecutive nodes of the same rank;
@@ -23,7 +23,6 @@
 // makes the verdicts hold for all feasible schedules, not just the one
 // the engine happened to execute.
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -86,10 +85,6 @@ class OpGraph {
   /// Appends a node (after every node it depends on); returns its id, or
   /// -1 and marks the graph truncated once it holds maxNodes.
   std::int32_t add(OpNode n);
-  void reserve(std::size_t n) {
-    nodes_.reserve(std::min(n, maxNodes_));
-    waitedBegin_.reserve(std::min(n, maxNodes_));
-  }
 
   /// The ops Wait node `id` returned, in wait-list order.
   std::span<const std::int32_t> waited(std::int32_t id) const {
@@ -103,12 +98,11 @@ class OpGraph {
   /// `target`, and makes it `target`'s waitedAt if that is still unset.
   void addWaited(std::int32_t id, std::int32_t target);
 
-  /// Arrival node ids of collective gate (commId, collSeq), the opener's
-  /// first.
+  /// Arrival node ids of collective gate (commId, collSeq) in arrival
+  /// order, the opener's first.
   const std::vector<std::int32_t>* gateArrivals(int commId,
                                                std::uint64_t seq) const;
-  void addGateArrival(int commId, std::uint64_t seq, std::int32_t nodeId,
-                      bool opener);
+  void addGateArrival(int commId, std::uint64_t seq, std::int32_t nodeId);
   /// All gates, keyed (commId, collSeq), ascending.
   const std::map<std::pair<int, std::uint64_t>, std::vector<std::int32_t>>&
   gates() const {
@@ -119,8 +113,8 @@ class OpGraph {
   const CommInfo* comm(int commId) const;
   const std::map<int, CommInfo>& comms() const { return comms_; }
 
-  /// True once the graph or the op log it was built from hit its budget;
-  /// the graph then covers a prefix of the run and verdicts only cover it.
+  /// True once the graph hit its node budget; it then covers a prefix of
+  /// the run and verdicts only cover that.
   bool truncated() const { return truncated_; }
   void markTruncated() { truncated_ = true; }
 

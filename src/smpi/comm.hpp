@@ -38,17 +38,12 @@ class Comm {
 
   bool contains(int worldRank) const { return commRankOf(worldRank) >= 0; }
 
- private:
-  friend class Simulation;
-  friend class Verifier;  // gate signatures, finalize-time leak scans
-
-  Comm(int id, std::vector<int> members, int worldSize);
-
   /// Counter-based collective gate: every member rank of collective #seq
   /// shares the single `op`; the last arrival schedules one completion
   /// callback, whose finish() resumes the members in arrival order — the
   /// same resume order, at the same simulated time, as the seed's
   /// one-OpState-per-rank fan-out, at 1/size the allocations and events.
+  /// Observers read a gate; only the Simulation writes one.
   struct CollGate {
     CollSig sig;              // the opener's
     double firstBytes = 0.0;  // the opener's payload
@@ -58,6 +53,12 @@ class Comm {
     sim::SimTime lastArrival = 0.0;
     Request op;  // shared by every member
   };
+
+ private:
+  friend class Simulation;
+  friend class Verifier;  // finalize-time leak scans
+
+  Comm(int id, std::vector<int> members, int worldSize);
 
   int id_;
   std::vector<int> members_;      // commRank -> worldRank

@@ -30,18 +30,13 @@ Simulation::Simulation(arch::MachineConfig machine, std::int64_t nranks,
     ranks_.back().id_ = static_cast<int>(i);
     ranks_.back().rng_.reseed(splitmix64(sm));
   }
-  // A capture reads the profiler's op log, which only a profiler built
-  // with keepLog records.
-  auto* cscope = analysis::CaptureScope::active();
-  if (auto* pscope = obs::ProfileScope::active())
-    profiler_ = &pscope->attach(*this, /*keepLog=*/cscope != nullptr);
-  if (cscope) {
-    opGraph_ = &cscope->attach(static_cast<int>(nranks));
-    if (!profiler_) {
-      obs::ProfileOptions po;
-      po.maxOps = cscope->options().maxOps;
-      enableProfile(po);
-    }
+  if (auto* scope = obs::ProfileScope::active()) {
+    profiler_ = &scope->attach(*this);
+    observers_.push_back(profiler_);
+  }
+  if (auto* scope = analysis::CaptureScope::active()) {
+    capture_ = scope->attach(*this);
+    observers_.push_back(capture_.get());
   }
 }
 
@@ -88,48 +83,24 @@ void Simulation::checkAlive(int worldRank) const {
 
 Verifier& Simulation::enableVerifier(VerifierOptions options) {
   BGP_REQUIRE_MSG(!ran_, "enableVerifier must be called before run()");
+  if (verifier_) observers_.erase(observers_.begin());
   verifier_ = std::make_unique<Verifier>(options);
+  observers_.insert(observers_.begin(), verifier_.get());
   return *verifier_;
 }
 
 obs::Profiler& Simulation::enableProfile(obs::ProfileOptions options) {
   BGP_REQUIRE_MSG(!ran_, "enableProfile must be called before run()");
-  ownedProfiler_ = std::make_unique<obs::Profiler>(
-      *this, options, /*keepLog=*/opGraph_ != nullptr);
+  std::erase(observers_, static_cast<Observer*>(profiler_));
+  ownedProfiler_ = std::make_unique<obs::Profiler>(*this, options);
   profiler_ = ownedProfiler_.get();
+  observers_.push_back(profiler_);
   return *profiler_;
 }
 
 RunResult Simulation::run(const RankProgram& program) {
   BGP_REQUIRE_MSG(!ran_, "Simulation::run may be called once");
   ran_ = true;
-  // The op-graph is built from the op log, which finalize() keeps: after
-  // the profiler released its run-time state on success, and also when
-  // the run throws, since the ops a failed run issued are what its
-  // diagnosis needs.
-  const auto buildGraph = [this] {
-    if (opGraph_) analysis::buildOpGraph(*profiler_, comms(), *opGraph_);
-  };
-  RunResult result;
-  try {
-    result = execute(program);
-  } catch (...) {
-    buildGraph();
-    throw;
-  }
-  if (profiler_ && !profiler_->finalized()) profiler_->finalize(result);
-  buildGraph();
-  return result;
-}
-
-std::vector<const Comm*> Simulation::comms() const {
-  std::vector<const Comm*> all;
-  all.push_back(world_.get());
-  for (const auto& c : subComms_) all.push_back(c.get());
-  return all;
-}
-
-RunResult Simulation::execute(const RankProgram& program) {
   std::vector<sim::Task> tasks;
   tasks.reserve(static_cast<std::size_t>(nranks_));
   std::vector<double> finish(static_cast<std::size_t>(nranks_), -1.0);
@@ -192,13 +163,18 @@ RunResult Simulation::execute(const RankProgram& program) {
     throw DeadlockError(os.str());
   }
 
-  if (verifier_) verifier_->finalize(comms());
+  if (verifier_) {
+    std::vector<const Comm*> comms{world_.get()};
+    for (const auto& c : subComms_) comms.push_back(c.get());
+    verifier_->finalize(comms);
+  }
 
   RunResult result;
   result.finishTimes = std::move(finish);
   result.makespan =
       *std::max_element(result.finishTimes.begin(), result.finishTimes.end());
   result.events = engine_.eventsProcessed();
+  if (profiler_) profiler_->finalize(result);
   return result;
 }
 
@@ -352,53 +328,48 @@ Request Simulation::newOp(OpState::Kind kind, int ownerWorld, int commId) {
 
 void Simulation::noteIssue(const Comm& comm, const OpState& op,
                            double expectedBytes) {
-  if (verifier_) verifier_->onP2p(op);
-  if (profiler_) profiler_->onP2pIssue(comm, op, expectedBytes, engine_.now());
+  for (Observer* o : observers_)
+    o->onIssue(comm, op, expectedBytes, engine_.now());
 }
 
 void Simulation::noteMatch(const Comm& comm, int src, int dst, int tag,
                            double bytes, double expectedBytes,
                            const Request& sendOp, const OpState& recvOp) {
-  if (verifier_)
-    verifier_->onRecvMatched(comm, src, dst, tag, expectedBytes, bytes);
-  if (sendOp && profiler_) profiler_->onMatch(*sendOp, recvOp);
+  for (Observer* o : observers_)
+    o->onMatch(comm, src, dst, tag, bytes, expectedBytes, *sendOp, recvOp);
 }
 
 void Simulation::noteGateArrive(const Comm& comm, const Comm::CollGate& gate,
                                 int commRank, const CollSig& sig,
                                 double bytes) {
-  if (verifier_) verifier_->onCollective(comm, gate, commRank, sig, bytes);
-  if (profiler_)
-    profiler_->onCollArrival(comm, *gate.op, sig, bytes, commRank,
-                             engine_.now());
+  for (Observer* o : observers_)
+    o->onGateArrive(comm, gate, commRank, sig, bytes, engine_.now());
 }
 
 void Simulation::noteGateDone(const Comm& comm, const Comm::CollGate& gate,
                               int lastRank, double duration,
                               sim::SimTime done) {
-  if (profiler_)
-    profiler_->onCollComplete(comm, *gate.op, gate.sig, gate.bytes,
-                              comm.worldRank(lastRank), gate.lastArrival,
-                              duration, done);
+  for (Observer* o : observers_)
+    o->onGateDone(comm, gate, lastRank, duration, done);
 }
 
 void Simulation::noteBlock(int worldRank) {
-  if (profiler_) profiler_->onBlockBegin(worldRank, engine_.now());
+  for (Observer* o : observers_) o->onBlock(worldRank, engine_.now());
 }
 
 void Simulation::noteWaitDone(int worldRank, const std::vector<Request>& ops,
                               std::size_t fired) {
-  const sim::SimTime now = engine_.now();
-  if (verifier_) verifier_->onWaitDone(ops, fired);
-  if (profiler_) profiler_->onWaitDone(worldRank, ops, fired, now);
+  for (Observer* o : observers_)
+    o->onWaitDone(worldRank, ops, fired, engine_.now());
 }
 
 void Simulation::noteCompute(int worldRank, double seconds) {
-  if (profiler_) profiler_->onCompute(worldRank, engine_.now(), seconds);
+  for (Observer* o : observers_)
+    o->onCompute(worldRank, engine_.now(), seconds);
 }
 
 void Simulation::noteComplete(const OpState& op) {
-  if (profiler_) profiler_->onComplete(op, engine_.now());
+  for (Observer* o : observers_) o->onComplete(op, engine_.now());
 }
 
 // ---- point-to-point -----------------------------------------------------------
@@ -460,11 +431,11 @@ void Simulation::deliverEager(Comm& comm, const Request& sendOp) {
     op->finish();
     return;
   }
-  // Unless the profiler records matches, a staged eager message holds no
-  // reference to its send, which completed at injection.
+  // Unless an observer is told of the match, a staged eager message
+  // holds no reference to its send, which completed at injection.
   comm.match_.addStaged(
       dst, MatchTable::Staged{src, sendOp->tag, sendOp->bytes, false,
-                              profiler_ ? sendOp : nullptr});
+                              observers_.empty() ? nullptr : sendOp});
 }
 
 void Simulation::arriveRts(Comm& comm, const Request& sendOp) {
@@ -563,8 +534,8 @@ Request Simulation::joinCollective(Comm& comm, int commRank,
     gate.op->collSeq = seq;
   }
   // Before the gate's contract check below: a divergent arrival must land
-  // in the op log so the collective-contract pass can localize it even
-  // though the runtime aborts the run.
+  // in a captured op-graph so the collective-contract pass can localize it
+  // even though the runtime aborts the run.
   noteGateArrive(comm, gate, commRank, sig, bytes);
   BGP_REQUIRE_MSG(gate.sig.kind == kind,
                   "collective mismatch: ranks disagree on operation " +

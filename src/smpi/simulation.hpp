@@ -14,15 +14,12 @@
 #include "sim/fault.hpp"
 #include "sim/task.hpp"
 #include "smpi/comm.hpp"
+#include "smpi/observer.hpp"
 #include "smpi/rank.hpp"
 #include "smpi/types.hpp"
 #include "smpi/verifier.hpp"
 
 namespace bgp::smpi {
-
-namespace analysis {
-class OpGraph;
-}
 
 /// A rank program: invoked once per rank to create its coroutine.
 using RankProgram = std::function<sim::Task(Rank&)>;
@@ -83,19 +80,19 @@ class Simulation {
   /// Throws sim::FaultError if `worldRank`'s node fail-stopped before now.
   void checkAlive(int worldRank) const;
 
-  // ---- correctness verifier ------------------------------------------------
+  // ---- observers ----------------------------------------------------------
+  // Every event is reported to the attached smpi::Observers, the verifier
+  // first: the verifier and profiler enabled below, an obs::ProfileScope's
+  // profiler and an analysis::CaptureScope's op-graph recorder, both
+  // attached at construction when their scope is live.
+
   /// Enables the runtime MPI correctness verifier (call before run()).
   Verifier& enableVerifier(VerifierOptions options = {});
   Verifier* verifier() { return verifier_.get(); }
 
-  // ---- observability plane ---------------------------------------------------
-  /// Enables profiling for this Simulation (call before run()).
-  /// Simulations constructed under an obs::ProfileScope are profiled
-  /// automatically without this call, and so are those constructed under
-  /// an analysis::CaptureScope, whose op-graph run() builds from the
-  /// profiler's op log.  The op log is recorded only for a Simulation
-  /// constructed under a CaptureScope.  The profile is assembled by run()
-  /// and read via profiler()->profile().
+  /// Enables profiling for this Simulation (call before run()), in place
+  /// of a ProfileScope's profiler.  The profile is assembled by run() and
+  /// read via profiler()->profile().
   obs::Profiler& enableProfile(obs::ProfileOptions options = {});
   obs::Profiler* profiler() { return profiler_; }
 
@@ -133,23 +130,17 @@ class Simulation {
   friend class AwaitAny;
   friend class AwaitCompute;
 
-  /// run() up to the profile: the rank programs, the failure and
-  /// deadlock checks and the verifier's finalize.
-  RunResult execute(const RankProgram& program);
-  /// World first, then the sub-communicators in creation (id) order.
-  std::vector<const Comm*> comms() const;
-
   /// A fresh op carrying the next per-Simulation id.
   Request newOp(OpState::Kind kind, int ownerWorld, int commId);
 
   // ---- observer notifications ---------------------------------------------
-  // One point per event kind; each forwards to whichever of the verifier
-  // and profiler are attached.  None schedules events.
+  // One point per Observer hook; each forwards to every attached observer.
+  // None schedules events.
   /// `expectedBytes`: a receive's declared size (< 0 = none).
   void noteIssue(const Comm& comm, const OpState& op,
                  double expectedBytes = -1.0);
-  /// `sendOp` is null for a staged eager message unless the profiler,
-  /// which records matches, is attached.
+  /// `sendOp` is null for a staged eager message unless an observer is
+  /// attached.
   void noteMatch(const Comm& comm, int src, int dst, int tag, double bytes,
                  double expectedBytes, const Request& sendOp,
                  const OpState& recvOp);
@@ -195,15 +186,13 @@ class Simulation {
   std::vector<const std::vector<Request>*> pendingOpsByRank_;
   std::unique_ptr<sim::FaultPlane> faults_;
   std::unique_ptr<Verifier> verifier_;
-  // Raw pointer: either ownedProfiler_ (enableProfile, or a CaptureScope
-  // without a ProfileScope) or a Profiler owned by the active
-  // ProfileScope, which outlives the Simulation.
+  // Raw pointer: either ownedProfiler_ (enableProfile) or a Profiler owned
+  // by the active ProfileScope, which outlives the Simulation.
   obs::Profiler* profiler_ = nullptr;
   std::unique_ptr<obs::Profiler> ownedProfiler_;
-  // The graph slot of the analysis::CaptureScope live at construction
-  // (the scope outlives the Simulation), filled from the profiler's op
-  // log when run() returns or throws; null when no scope was live.
-  analysis::OpGraph* opGraph_ = nullptr;
+  // The recorder of the analysis::CaptureScope live at construction.
+  std::unique_ptr<Observer> capture_;
+  std::vector<Observer*> observers_;  // notified in order, verifier first
   bool ran_ = false;
 };
 

@@ -47,8 +47,9 @@ void Verifier::defect(const std::string& msg) {
   if (options_.failFast) throw VerifierError("verifier: " + msg);
 }
 
-void Verifier::onCollective(const Comm& comm, const Comm::CollGate& gate,
-                            int commRank, const CollSig& sig, double bytes) {
+void Verifier::onGateArrive(const Comm& comm, const Comm::CollGate& gate,
+                            int commRank, const CollSig& sig, double bytes,
+                            sim::SimTime) {
   ++activity_[comm.id()];
   if (gate.arrived == 0) return;  // the opener: nothing to compare with
   const CollSig& ref = gate.sig;
@@ -74,7 +75,8 @@ void Verifier::onCollective(const Comm& comm, const Comm::CollGate& gate,
   defect(os.str());
 }
 
-void Verifier::onP2p(const OpState& op) {
+void Verifier::onIssue(const Comm&, const OpState& op, double,
+                       sim::SimTime) {
   ++activity_[op.commId];
   std::uint32_t idx = freeReq_;
   if (idx != kNil) {
@@ -117,8 +119,8 @@ void Verifier::closeReq(const OpState& op) {
   }
 }
 
-void Verifier::onWaitDone(const std::vector<Request>& ops,
-                          std::size_t fired) {
+void Verifier::onWaitDone(int, const std::vector<Request>& ops,
+                          std::size_t fired, sim::SimTime) {
   if (fired < ops.size()) {
     closeReq(*ops[fired]);
   } else {
@@ -126,15 +128,14 @@ void Verifier::onWaitDone(const std::vector<Request>& ops,
   }
 }
 
-void Verifier::onRecvMatched(const Comm& comm, int srcCommRank,
-                             int dstCommRank, int tag, double expectedBytes,
-                             double actualBytes) {
-  if (expectedBytes < 0 || expectedBytes == actualBytes) return;
+void Verifier::onMatch(const Comm& comm, int src, int dst, int tag,
+                       double bytes, double expectedBytes, const OpState&,
+                       const OpState&) {
+  if (expectedBytes < 0 || expectedBytes == bytes) return;
   std::ostringstream os;
-  os << "p2p count mismatch: " << rankName(comm, dstCommRank)
-     << " expected " << expectedBytes << " B (tag " << tagName(tag)
-     << ") but " << rankName(comm, srcCommRank) << " sent " << actualBytes
-     << " B";
+  os << "p2p count mismatch: " << rankName(comm, dst) << " expected "
+     << expectedBytes << " B (tag " << tagName(tag) << ") but "
+     << rankName(comm, src) << " sent " << bytes << " B";
   defect(os.str());
 }
 

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "smpi/comm.hpp"
+#include "smpi/observer.hpp"
 #include "smpi/types.hpp"
 
 namespace bgp::smpi {
@@ -53,24 +54,25 @@ class VerifierError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-class Verifier {
+class Verifier final : public Observer {
  public:
   explicit Verifier(VerifierOptions options);
 
   // ---- runtime hooks (called by Simulation; hot paths, keep cheap) --------
-  /// Comm rank `commRank` arrived at `gate` on `comm`, calling `sig` with
-  /// `bytes`; checks them against the gate's opener.
-  void onCollective(const Comm& comm, const Comm::CollGate& gate,
-                    int commRank, const CollSig& sig, double bytes);
-  /// A send/receive was created; the verifier records it until a wait
-  /// consumes it.
-  void onP2p(const OpState& op);
-  /// A waitAny returned ops[fired], or (fired == ops.size()) a
-  /// wait/waitAll returned `ops`: those requests are no longer leaks.
-  void onWaitDone(const std::vector<Request>& ops, std::size_t fired);
-  /// A receive matched a message; checks the declared expectation.
-  void onRecvMatched(const Comm& comm, int srcCommRank, int dstCommRank,
-                     int tag, double expectedBytes, double actualBytes);
+  /// Checks an arrival against the gate's opener.
+  void onGateArrive(const Comm& comm, const Comm::CollGate& gate,
+                    int commRank, const CollSig& sig, double bytes,
+                    sim::SimTime now) override;
+  /// Records a send/receive until a wait consumes it.
+  void onIssue(const Comm& comm, const OpState& op, double expectedBytes,
+               sim::SimTime now) override;
+  /// The requests the wait returned are no longer leaks.
+  void onWaitDone(int worldRank, const std::vector<Request>& ops,
+                  std::size_t fired, sim::SimTime now) override;
+  /// Checks a receive's declared expectation against the message.
+  void onMatch(const Comm& comm, int src, int dst, int tag, double bytes,
+               double expectedBytes, const OpState& sendOp,
+               const OpState& recvOp) override;
 
   // ---- finalize -----------------------------------------------------------
   /// Run after a simulation completes without deadlock: scans every

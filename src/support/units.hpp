@@ -50,7 +50,11 @@ inline std::string formatBytes(double bytes) {
 
 /// Formats a duration in the most readable unit, e.g. "3.20 us", "1.45 s".
 inline std::string formatTime(double seconds) {
-  if (seconds < 0) return "-" + formatTime(-seconds);
+  if (seconds < 0) {
+    std::string negative = "-";  // appended: `"-" + string&&` trips -Wrestrict
+    negative += formatTime(-seconds);
+    return negative;
+  }
   if (seconds < usec) return detail::fmt("%.1f ns", seconds / nsec);
   if (seconds < msec) return detail::fmt("%.2f us", seconds / usec);
   if (seconds < sec) return detail::fmt("%.2f ms", seconds / msec);

@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "arch/machines.hpp"
+#include "obs/profiler.hpp"
 #include "smpi/analysis/capture.hpp"
 #include "smpi/analysis/passes.hpp"
 #include "smpi/analysis/scenarios.hpp"
@@ -252,7 +256,9 @@ TEST(CaptureScope, CapturesSimulationsConstructedUnderIt) {
   CaptureScope scope;
   {
     Simulation sim(arch::makeBGP(), 4);
+    EXPECT_EQ(sim.profiler(), nullptr);  // a capture builds no profiler
     sim.run([](Rank& self) -> sim::Task { co_await self.barrier(); });
+    EXPECT_EQ(sim.profiler(), nullptr);
   }
   ASSERT_EQ(scope.graphs().size(), 1u);
   const Report report = analyze(*scope.graphs().front());
@@ -270,8 +276,8 @@ TEST(CaptureScope, CaptureOffRunsRecordNothing) {
   EXPECT_TRUE(laterScope.graphs().empty());
 }
 
-// The graph is built from the op log when the run ends, and a failed run
-// ends too: its issued ops must reach the scope.
+// The graph is recorded as the run goes, so a failed run's issued ops
+// reach the scope too.
 TEST(CaptureScope, DeadlockedRunStillHandsOverItsGraph) {
   CaptureScope scope;
   Simulation sim(arch::makeBGP(), 2);
@@ -365,6 +371,132 @@ TEST(OpGraph, VectorClocksOrderMatchedSendBeforeWait) {
   ASSERT_GE(recvWait, 0);
   EXPECT_TRUE(g.happensBefore(send, recvWait));
   EXPECT_FALSE(g.happensBefore(recvWait, send));
+}
+
+// ---- the online recorder over the registry -------------------------------
+
+/// The first place where `g`'s node order is not a topological order of
+/// its edges, or where a rank's rankSeq does not count 0, 1, 2, ... in
+/// node order; "" if there is none.
+std::string firstOrderViolation(const OpGraph& g) {
+  std::vector<int> nextSeq(static_cast<std::size_t>(g.nranks()), 0);
+  for (std::int32_t id = 0; id < static_cast<std::int32_t>(g.nodes().size());
+       ++id) {
+    const OpNode& n = g.node(id);
+    if (n.rankSeq != nextSeq[static_cast<std::size_t>(n.world)]++)
+      return "rankSeq of " + g.describe(id);
+    if (n.kind != OpKind::Wait) continue;
+    for (const std::int32_t t : g.waited(id)) {
+      const OpNode& op = g.node(t);
+      if (t >= id) return g.describe(id) + " before its target";
+      if (op.kind == OpKind::Recv && op.matched >= id)
+        return g.describe(id) + " before the send it receives";
+      if (op.kind == OpKind::Coll)
+        for (const std::int32_t a : *g.gateArrivals(op.commId, op.collSeq))
+          if (a >= id) return g.describe(id) + " before a gate arrival";
+    }
+  }
+  return "";
+}
+
+/// Every field, wait list, gate and communicator of `g`, one line each.
+std::string dumpGraph(const OpGraph& g) {
+  std::string out = g.truncated() ? "truncated\n" : "";
+  const auto appendIds = [&out](const auto& ids) {
+    for (const auto id : ids) out.append(" ").append(std::to_string(id));
+    out += "\n";
+  };
+  char buf[320];
+  for (std::int32_t id = 0; id < static_cast<std::int32_t>(g.nodes().size());
+       ++id) {
+    const OpNode& n = g.node(id);
+    std::snprintf(
+        buf, sizeof buf,
+        "%d %d %d %d %d %d %d %.17g %.17g %llu %d %d %d %d %d %d:",
+        static_cast<int>(n.kind), n.world, n.rankSeq, n.commId, n.commRank,
+        n.peer, n.tag, n.bytes, n.expectedBytes,
+        static_cast<unsigned long long>(n.collSeq), n.sig.root,
+        static_cast<int>(n.sig.kind), static_cast<int>(n.sig.rop),
+        static_cast<int>(n.sig.dt), n.matched, n.waitedAt);
+    out += buf;
+    appendIds(g.waited(id));
+  }
+  for (const auto& [key, arrivals] : g.gates()) {
+    std::snprintf(buf, sizeof buf, "gate %d#%llu:", key.first,
+                  static_cast<unsigned long long>(key.second));
+    out += buf;
+    appendIds(arrivals);
+  }
+  for (const auto& [commId, info] : g.comms()) {
+    std::snprintf(buf, sizeof buf, "comm %d:", commId);
+    out += buf;
+    appendIds(info.worldOfCommRank);
+  }
+  return out;
+}
+
+/// dumpGraph of every graph the registry scenarios capture, optionally
+/// with every Simulation also profiled by a ProfileScope.
+std::vector<std::string> registryGraphs(bool profiled) {
+  std::vector<std::string> out;
+  for (const Scenario& scenario : scenarios()) {
+    std::optional<obs::ProfileScope> profile;
+    if (profiled) profile.emplace();
+    CaptureScope scope;
+    try {
+      scenario.run();
+    } catch (const std::exception&) {
+    }
+    for (const auto& graph : scope.graphs()) {
+      EXPECT_EQ(firstOrderViolation(*graph), "") << scenario.name;
+      out.push_back(scenario.name + "\n" + dumpGraph(*graph));
+    }
+  }
+  return out;
+}
+
+TEST(OnlineGraph, RegistryGraphsAreInTopologicalOrder) {
+  EXPECT_GT(registryGraphs(/*profiled=*/false).size(), 20u);
+}
+
+TEST(OnlineGraph, RegistryGraphsAreIdenticalUnderAProfileScope) {
+  const std::vector<std::string> alone = registryGraphs(false);
+  const std::vector<std::string> profiled = registryGraphs(true);
+  EXPECT_GT(alone.size(), 20u);
+  ASSERT_EQ(alone.size(), profiled.size());
+  for (std::size_t i = 0; i < alone.size(); ++i)
+    EXPECT_EQ(alone[i], profiled[i]) << "graph " << i;
+}
+
+// A collective node carries its opener's bytes, however the others
+// differ, and a waitAny returns only the op that fired.
+TEST(OnlineGraph, RecordsOpenerBytesAndTheOpAWaitAnyReturned) {
+  CaptureScope scope;
+  Simulation sim(arch::makeBGP(), 3);
+  sim.run([](Rank& self) -> sim::Task {
+    co_await self.compute(1e-6 * self.id());  // rank 0 opens the gate
+    co_await self.allreduce(8.0 * (1 + self.id()));
+    if (self.id() == 0) {
+      std::vector<Request> ops{self.irecv(1, 0), self.irecv(2, 0)};
+      co_await self.waitAny(ops);
+      co_await self.waitAll(std::move(ops));
+    } else {
+      co_await self.send(0, 64.0, 0);
+    }
+  });
+  const OpGraph& g = *scope.graphs().front();
+  std::vector<std::size_t> recvWaits;
+  for (std::int32_t id = 0; id < static_cast<std::int32_t>(g.nodes().size());
+       ++id) {
+    const OpNode& n = g.node(id);
+    if (n.kind == OpKind::Coll) {
+      EXPECT_EQ(n.bytes, 8.0) << g.describe(id);
+    }
+    if (n.kind == OpKind::Wait && n.world == 0 &&
+        g.node(g.waited(id).front()).kind == OpKind::Recv)
+      recvWaits.push_back(g.waited(id).size());
+  }
+  EXPECT_EQ(recvWaits, (std::vector<std::size_t>{1, 2}));
 }
 
 }  // namespace

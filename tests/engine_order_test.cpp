@@ -185,8 +185,7 @@ TEST(EngineOrder, CoroutineResumesInterleavedWithCallbacks) {
   Engine e;
   RefQueue ref;
   Rng rng(8);
-  Mixed m{e, ref, rng};
-  m.budget = 20000;
+  Mixed m{e, ref, rng, /*nextId=*/0, /*budget=*/20000, /*popped=*/{}};
   std::vector<bgp::sim::Task> tasks;
   for (int i = 0; i < 48; ++i) {
     tasks.push_back(sleeper(m, 200));

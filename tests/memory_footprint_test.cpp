@@ -1,11 +1,12 @@
 // Memory-footprint regression gates for paper-scale worlds: an idle
-// 65,536-rank VN world, a 16,384-rank world mid-halo and a profiled and
-// verified 4,096-rank halo must each stay under a recorded per-rank
-// budget, and the per-operation records must keep their compact layout.  These are the tests that keep the runtime's
-// per-rank and per-op state from quietly growing back to where 131,072
-// ranks no longer fit in memory (the arena, the SoA rank state, the O(1)
-// match table and the compact op lifecycle exist to keep these numbers
-// small — see docs/performance.md).
+// 65,536-rank VN world, a 16,384-rank world mid-halo, and a profiled and
+// verified and a captured 4,096-rank halo must each stay under a recorded
+// per-rank budget, and the per-operation records must keep their compact
+// layout.  These are the tests that keep the runtime's per-rank and
+// per-op state from quietly growing back to where 131,072 ranks no longer
+// fit in memory (the arena, the SoA rank state, the O(1) match table and
+// the compact op lifecycle exist to keep these numbers small — see
+// docs/performance.md).
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "arch/machines.hpp"
 #include "net/system.hpp"
 #include "sim/engine.hpp"
+#include "smpi/analysis/capture.hpp"
 #include "smpi/simulation.hpp"
 #include "topo/process_grid.hpp"
 
@@ -268,5 +270,69 @@ TEST(MemoryFootprint, ProfiledHaloWorldStaysUnderPerRankBudget) {
               kRanks, perRank, kBudgetBytesPerRank);
   EXPECT_LT(perRank, kBudgetBytesPerRank)
       << "per-rank peak memory of a profiled halo world regressed past the "
+         "recorded budget";
+}
+
+TEST(MemoryFootprint, CapturedHaloWorldStaysUnderPerRankBudget) {
+  if (kSanitized)
+    GTEST_SKIP() << "sanitizer redzones/shadow inflate RSS; measured only "
+                    "in plain builds";
+  if (residentBytes() < 0) GTEST_SKIP() << "/proc/self/statm unavailable";
+
+  // A 64x64 VN halo under a CaptureScope and nothing else, 8 reps of 512
+  // words: the op-graph's 327,680 nodes, recorded as the run goes, peak
+  // at the end of the run.
+  constexpr int kSide = 64;
+  constexpr int kRanks = kSide * kSide;
+  constexpr int kReps = 8;
+  // Recorded budget: the runtime measures ~12,130 peak bytes/rank here,
+  // most of it the graph's nodes and one copy of them as the node array
+  // grows; a capture that built a profiler to log the run and swept the
+  // log into the graph afterwards measured ~18,070.  The budget leaves
+  // 1.35x headroom for allocator noise and still rejects the old capture.
+  constexpr double kBudgetBytesPerRank = 16400.0;
+
+  const long growth = peakGrowthInChild([&] {
+    bgp::smpi::analysis::CaptureScope capture;
+    const bgp::topo::ProcessGrid2D grid(kSide, kSide);
+    auto sim = std::make_unique<bgp::smpi::Simulation>(
+        bgp::arch::machineByName("BG/P"), kRanks, vnOptions());
+    if (sim->profiler() != nullptr) std::_Exit(2);  // capture alone
+    sim->run([&grid](bgp::smpi::Rank& self) -> bgp::sim::Task {
+      const auto north = static_cast<int>(grid.north(self.id()));
+      const auto south = static_cast<int>(grid.south(self.id()));
+      const auto west = static_cast<int>(grid.west(self.id()));
+      const auto east = static_cast<int>(grid.east(self.id()));
+      const double n1 = 512 * 4.0;
+      const double n2 = 2.0 * n1;
+      for (int rep = 0; rep < kReps; ++rep) {
+        co_await self.compute(bgp::arch::Work{0.0, 2.0 * (n1 + n2), 1.0});
+        std::vector<bgp::smpi::Request> ns;
+        ns.push_back(self.irecv(south, 10));
+        ns.push_back(self.irecv(north, 11));
+        ns.push_back(self.isend(north, n1, 10));
+        ns.push_back(self.isend(south, n2, 11));
+        co_await self.waitAll(std::move(ns));
+        std::vector<bgp::smpi::Request> ew;
+        ew.push_back(self.irecv(east, 12));
+        ew.push_back(self.irecv(west, 13));
+        ew.push_back(self.isend(west, n1, 12));
+        ew.push_back(self.isend(east, n2, 13));
+        co_await self.waitAll(std::move(ew));
+      }
+    });
+    const bgp::smpi::analysis::OpGraph& graph = *capture.graphs().front();
+    if (graph.truncated() || graph.nodes().size() != kRanks * kReps * 10u)
+      std::_Exit(3);
+  });
+  ASSERT_GE(growth, 0) << "the captured run failed or RSS is unavailable";
+  const double perRank =
+      static_cast<double>(growth) / static_cast<double>(kRanks);
+  RecordProperty("bytes_per_rank", static_cast<int>(perRank));
+  std::printf("[ footprint ] captured %d-rank halo world: %.0f peak "
+              "bytes/rank (budget %.0f)\n",
+              kRanks, perRank, kBudgetBytesPerRank);
+  EXPECT_LT(perRank, kBudgetBytesPerRank)
+      << "per-rank peak memory of a captured halo world regressed past the "
          "recorded budget";
 }

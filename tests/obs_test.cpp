@@ -1,7 +1,7 @@
 // Tests for the observability plane (src/obs): per-rank breakdowns,
 // critical-path attribution, what-if estimates (and their replay oracle
-// over the op log), deterministic exporters, the profile's independence
-// of whether the op log is kept, and the Chrome-trace escaping fix.
+// over a test-recorded op log), deterministic exporters, the profile's
+// independence of capture, and the Chrome-trace escaping fix.
 
 #include <gtest/gtest.h>
 
@@ -265,9 +265,9 @@ TEST(Obs, ProfileScopeCapturesConstructedSimulations) {
   EXPECT_TRUE(selfCheck(p).empty());
 }
 
-// The capture reads the profiler's op log and never limits it: an
-// op-graph that runs out of budget under the same Simulation (as one of a
-// CaptureScope with a one-node budget does) leaves the profile whole.
+// Capture and profiling are independent observers: an op-graph that runs
+// out of budget under the same Simulation (as one of a CaptureScope with a
+// one-node budget does) leaves the profile whole.
 TEST(Obs, ProfileIsIndependentOfCapture) {
   const auto profiledJson = [] {
     Simulation sim(machineByName("BG/P"), 8);
@@ -365,42 +365,184 @@ TEST(Obs, FailedProfiledRunLeavesEveryArenaBalanced) {
 // ---- the what-if oracle ------------------------------------------------------
 //
 // The profiler evaluates its what-ifs online, in the hooks.  The oracle is
-// the replay it replaced: the op log a CaptureScope keeps, swept in an
-// order that respects the recorded dependencies, with one cost class
-// zeroed.  Both evaluate the same max-plus recurrence with the same
-// arithmetic, so they must agree bit for bit.
+// the replay it replaced: a log of the run's issues, computes, waits and
+// gates — recorded by a CaptureScope whose attach() hands the Simulation a
+// logging observer instead of the op-graph recorder — swept in an order
+// that respects the recorded dependencies, with one cost class zeroed.
+// Both evaluate the same max-plus recurrence with the same arithmetic, so
+// they must agree bit for bit.
+
+/// What the replay reads of one run.
+struct OpLog {
+  using OpId = std::uint32_t;
+  static constexpr OpId kNoOp = ~OpId{0};
+
+  /// One timeline item; per rank, items append in program order.
+  struct Item {
+    enum class Kind : std::uint8_t { Compute, Block, Issue };
+    Kind kind = Kind::Issue;
+    sim::SimTime begin = 0.0;  // Compute
+    sim::SimTime end = 0.0;    // Compute
+    OpId op = kNoOp;           // Issue: the op; Block of a waitAny: fired
+    bool any = false;          // Block of a waitAny
+    std::vector<OpId> waited;  // Block of a wait/waitAll
+  };
+  /// One op, indexed by its id.
+  struct OpRec {
+    enum class Kind : std::uint8_t { None, Send, Recv, Gate };
+    Kind kind = Kind::None;
+    sim::SimTime issue = 0.0;
+    sim::SimTime completion = -1.0;  // < 0: never completed
+    double bytes = 0.0;              // Send: payload
+    OpId partner = kNoOp;            // p2p: the matched op
+    int nranks = 0;                  // Gate: member count
+    double duration = -1.0;          // Gate: < 0 never completed
+  };
+
+  const Profiler* profiler = nullptr;  // the ProfileScope's, if any
+  double eagerThreshold = 0.0;
+  std::vector<OpRec> ops;
+  std::vector<std::vector<Item>> items;  // per rank
+
+  const OpRec* rec(OpId id) const {
+    return id < ops.size() && ops[id].kind != OpRec::Kind::None ? &ops[id]
+                                                                : nullptr;
+  }
+
+  /// Visits every rank's items in program order, interleaved in an order
+  /// that respects the recorded dependencies: `step(rank, item)` returns
+  /// false to park the rank at an item whose dependencies are not visited
+  /// yet, to be offered again on the next pass.  False if one stays parked.
+  template <class Step>
+  bool sweep(Step&& step) const {
+    std::vector<std::size_t> idx(items.size(), 0);
+    for (bool progress = true; progress;) {
+      progress = false;
+      for (std::size_t r = 0; r < items.size(); ++r) {
+        while (idx[r] < items[r].size() &&
+               step(static_cast<int>(r), items[r][idx[r]])) {
+          ++idx[r];
+          progress = true;
+        }
+      }
+    }
+    for (std::size_t r = 0; r < items.size(); ++r)
+      if (idx[r] != items[r].size()) return false;
+    return true;
+  }
+};
+
+class OpLogRecorder final : public smpi::Observer {
+ public:
+  explicit OpLogRecorder(OpLog& log) : log_(log) {}
+
+  void onIssue(const smpi::Comm&, const smpi::OpState& op, double,
+               sim::SimTime now) override {
+    OpLog::OpRec& r = rec(op.id);
+    const bool isSend = op.kind == smpi::OpState::Kind::Send;
+    r.kind = isSend ? OpLog::OpRec::Kind::Send : OpLog::OpRec::Kind::Recv;
+    r.issue = now;
+    r.bytes = op.bytes;
+    issue(op.ownerWorld, op.id);
+  }
+  void onComplete(const smpi::OpState& op, sim::SimTime now) override {
+    OpLog::OpRec& r = rec(op.id);
+    if (r.completion < 0) r.completion = now;
+  }
+  void onMatch(const smpi::Comm&, int, int, int, double, double,
+               const smpi::OpState& sendOp,
+               const smpi::OpState& recvOp) override {
+    rec(sendOp.id).partner = static_cast<OpLog::OpId>(recvOp.id);
+    rec(recvOp.id).partner = static_cast<OpLog::OpId>(sendOp.id);
+  }
+  void onGateArrive(const smpi::Comm& comm, const smpi::Comm::CollGate& gate,
+                    int commRank, const smpi::CollSig&, double,
+                    sim::SimTime now) override {
+    OpLog::OpRec& r = rec(gate.op->id);
+    if (gate.arrived == 0) {
+      r.kind = OpLog::OpRec::Kind::Gate;
+      r.issue = now;
+      r.nranks = comm.size();
+    }
+    issue(comm.worldRank(commRank), gate.op->id);
+  }
+  void onGateDone(const smpi::Comm&, const smpi::Comm::CollGate& gate, int,
+                  double duration, sim::SimTime done) override {
+    OpLog::OpRec& r = rec(gate.op->id);
+    r.duration = duration;
+    r.completion = done;
+  }
+  void onCompute(int rank, sim::SimTime now, double seconds) override {
+    OpLog::Item item;
+    item.kind = OpLog::Item::Kind::Compute;
+    item.begin = now;
+    item.end = now + seconds;
+    log_.items[static_cast<std::size_t>(rank)].push_back(std::move(item));
+  }
+  void onWaitDone(int rank, const std::vector<smpi::Request>& ops,
+                  std::size_t fired, sim::SimTime) override {
+    OpLog::Item item;
+    item.kind = OpLog::Item::Kind::Block;
+    item.any = fired < ops.size();
+    if (item.any) item.op = static_cast<OpLog::OpId>(ops[fired]->id);
+    for (const smpi::Request& op : ops)
+      item.waited.push_back(static_cast<OpLog::OpId>(op->id));
+    log_.items[static_cast<std::size_t>(rank)].push_back(std::move(item));
+  }
+
+ private:
+  OpLog::OpRec& rec(std::uint64_t id) {
+    if (id >= log_.ops.size()) log_.ops.resize(id + 1);
+    return log_.ops[id];
+  }
+  void issue(int rank, std::uint64_t id) {
+    OpLog::Item item;
+    item.op = static_cast<OpLog::OpId>(id);
+    log_.items[static_cast<std::size_t>(rank)].push_back(std::move(item));
+  }
+
+  OpLog& log_;
+};
+
+/// A CaptureScope that logs each Simulation constructed under it for the
+/// oracle instead of recording its op-graph.
+class OpLogScope final : public smpi::analysis::CaptureScope {
+ public:
+  std::unique_ptr<smpi::Observer> attach(Simulation& sim) override {
+    auto& log = *logs_.emplace_back(std::make_unique<OpLog>());
+    log.profiler = sim.profiler();
+    log.eagerThreshold = sim.system().eagerThreshold();
+    log.items.resize(static_cast<std::size_t>(sim.nranks()));
+    return std::make_unique<OpLogRecorder>(log);
+  }
+  const std::vector<std::unique_ptr<OpLog>>& logs() const { return logs_; }
+
+ private:
+  std::vector<std::unique_ptr<OpLog>> logs_;
+};
 
 /// The replayed makespan of `log` with one cost class zeroed, or a
 /// negative value when a dependency could not be resolved.
-double replayLog(const Profiler& log, int nranks, bool zeroNetwork,
-                 bool zeroCompute) {
-  using OpId = Profiler::OpId;
-  using OpRec = Profiler::OpRec;
-  using Item = Profiler::Item;
-  const double eagerThresh = log.eagerThreshold();
+double replayLog(const OpLog& log, bool zeroNetwork, bool zeroCompute) {
+  using OpId = OpLog::OpId;
+  using OpRec = OpLog::OpRec;
+  using Item = OpLog::Item;
 
   struct GateReplay {
-    int expected = 0;
-    double duration = -1.0;  // < 0: the gate never completed
     int arrived = 0;
     double maxArrival = 0.0;
     double done = -1.0;
   };
-  std::vector<GateReplay> gatesR(log.opCount());  // by OpRec::gate()
-  for (std::size_t id = 0; id < log.opCount(); ++id)
-    if (const OpRec* r = log.rec(id); r && r->kind == OpRec::Kind::Gate)
-      gatesR[r->gate()] =
-          GateReplay{log.gate(*r).nranks, log.gate(*r).duration, 0, 0.0, -1.0};
+  std::vector<GateReplay> gatesR(log.ops.size());  // by op id
   // The replay state of a completed gate op, or null.
   const auto gateOf = [&](OpId op) -> GateReplay* {
     const OpRec* r = log.rec(op);
-    if (!r || r->kind != OpRec::Kind::Gate) return nullptr;
-    GateReplay& g = gatesR[r->gate()];
-    return g.duration < 0 ? nullptr : &g;
+    if (!r || r->kind != OpRec::Kind::Gate || r->duration < 0) return nullptr;
+    return &gatesR[op];
   };
 
   // Replayed issue time per op id (p2p issues only), -1 = not yet.
-  std::vector<double> newIssue(log.opCount(), -1.0);
+  std::vector<double> newIssue(log.ops.size(), -1.0);
 
   // A p2p op completes a measured span after its cause: the send's issue
   // (eager, or unmatched fire-and-forget), else the later of the send's
@@ -418,10 +560,11 @@ double replayLog(const Profiler& log, int nranks, bool zeroNetwork,
     if (self->completion < 0) return false;  // never completed: never waited
     const bool isSend = self->kind == OpRec::Kind::Send;
     const OpId sendOp = isSend ? op : self->partner;
-    if (sendOp == Profiler::kNoOp) return false;  // unmatched recv
+    if (sendOp == OpLog::kNoOp) return false;  // unmatched recv
     const OpId recvOp = isSend ? self->partner : op;
     const OpRec& snd = *log.rec(sendOp);
-    const bool eager = snd.bytes <= eagerThresh || recvOp == Profiler::kNoOp;
+    const bool eager =
+        snd.bytes <= log.eagerThreshold || recvOp == OpLog::kNoOp;
     const double cause =
         eager ? snd.issue : std::max(snd.issue, log.rec(recvOp)->issue);
     const double span = std::max(0.0, self->completion - cause);
@@ -440,18 +583,19 @@ double replayLog(const Profiler& log, int nranks, bool zeroNetwork,
   };
 
   // A rank parks at a Block whose ops are not yet resolvable.
-  std::vector<double> clock(static_cast<std::size_t>(nranks), 0.0);
+  std::vector<double> clock(log.items.size(), 0.0);
   const bool resolved = log.sweep([&](int r, const Item& it) {
     double& now = clock[static_cast<std::size_t>(r)];
     if (it.kind == Item::Kind::Compute) {
       now += zeroCompute ? 0.0 : (it.end - it.begin);
     } else if (it.kind == Item::Kind::Issue) {
+      const OpRec& self = *log.rec(it.op);
       if (GateReplay* g = gateOf(it.op)) {
         ++g->arrived;
         g->maxArrival = std::max(g->maxArrival, now);
-        if (g->arrived >= g->expected)
-          g->done = g->maxArrival + (zeroNetwork ? 0.0 : g->duration);
-      } else if (log.rec(it.op)->kind != OpRec::Kind::Gate) {
+        if (g->arrived >= self.nranks)
+          g->done = g->maxArrival + (zeroNetwork ? 0.0 : self.duration);
+      } else if (self.kind != OpRec::Kind::Gate) {
         newIssue[it.op] = now;
       }
     } else {  // Block
@@ -460,10 +604,10 @@ double replayLog(const Profiler& log, int nranks, bool zeroNetwork,
         // The replay resolves a waitAny against the op that actually
         // fired in the executed schedule.
         double c;
-        if (it.op == Profiler::kNoOp || !completionOf(it.op, c)) return false;
+        if (!completionOf(it.op, c)) return false;
         until = std::max(until, c);
       } else {
-        for (const OpId op : log.waited(r, it)) {
+        for (const OpId op : it.waited) {
           double c;
           if (!completionOf(op, c)) return false;
           until = std::max(until, c);
@@ -477,13 +621,12 @@ double replayLog(const Profiler& log, int nranks, bool zeroNetwork,
   return *std::max_element(clock.begin(), clock.end());
 }
 
-/// The what-ifs the oracle derives from a finalized profiler's op log.
-WhatIf oracleWhatIf(const Profiler& log) {
-  const int n = log.profile().nranks;
+/// The what-ifs the oracle derives from the log of `prof`'s run.
+WhatIf oracleWhatIf(const Profiler& prof, const OpLog& log) {
   WhatIf w;
-  w.measured = log.profile().makespan;
-  const double zn = replayLog(log, n, /*zeroNetwork=*/true, false);
-  const double zc = replayLog(log, n, false, /*zeroCompute=*/true);
+  w.measured = prof.profile().makespan;
+  const double zn = replayLog(log, /*zeroNetwork=*/true, false);
+  const double zc = replayLog(log, false, /*zeroCompute=*/true);
   if (zn >= 0 && zc >= 0) {
     w.valid = true;
     w.zeroNetwork = zn;
@@ -493,12 +636,12 @@ WhatIf oracleWhatIf(const Profiler& log) {
 }
 
 /// Bit-for-bit agreement of the online what-ifs with the oracle's.
-void expectOracleWhatIf(const Profiler& prof, const std::string& what) {
+void expectOracleWhatIf(const Profiler& prof, const OpLog& log,
+                        const std::string& what) {
   ASSERT_TRUE(prof.finalized()) << what;
-  ASSERT_TRUE(prof.keepsLog()) << what;
-  ASSERT_FALSE(prof.truncated()) << what;
+  ASSERT_FALSE(prof.profile().truncated) << what;
   const WhatIf& online = prof.profile().whatIf;
-  const WhatIf oracle = oracleWhatIf(prof);
+  const WhatIf oracle = oracleWhatIf(prof, log);
   EXPECT_EQ(online.valid, oracle.valid) << what;
   EXPECT_EQ(std::bit_cast<std::uint64_t>(online.measured),
             std::bit_cast<std::uint64_t>(oracle.measured))
@@ -511,14 +654,16 @@ void expectOracleWhatIf(const Profiler& prof, const std::string& what) {
       << what << ": " << online.zeroCompute << " vs " << oracle.zeroCompute;
 }
 
-/// Runs `program` on `nranks` BG/P ranks under a CaptureScope (so the
-/// profiler keeps its op log) and checks the what-ifs against the oracle.
+/// Runs `program` on `nranks` profiled BG/P ranks under an OpLogScope and
+/// checks the what-ifs against the oracle.
 void checkProgramAgainstOracle(int nranks, const smpi::RankProgram& program,
                                const std::string& what) {
-  smpi::analysis::CaptureScope capture;
+  OpLogScope capture;
   Simulation sim(machineByName("BG/P"), nranks);
+  sim.enableProfile();
   sim.run(program);
-  expectOracleWhatIf(*sim.profiler(), what);
+  ASSERT_EQ(capture.logs().size(), 1u) << what;
+  expectOracleWhatIf(*sim.profiler(), *capture.logs().front(), what);
   EXPECT_TRUE(sim.profiler()->profile().whatIf.valid) << what;
 }
 
@@ -527,16 +672,21 @@ TEST(ObsWhatIf, OnlineMatchesReplayOnEveryRegistryScenario) {
   for (const smpi::analysis::Scenario& scenario :
        smpi::analysis::scenarios()) {
     ProfileScope scope;
-    smpi::analysis::CaptureScope capture;
+    OpLogScope capture;
     try {
       scenario.run();
     } catch (const std::exception&) {  // a failed run is not finalized
     }
-    for (const auto& prof : scope.profilers()) {
-      if (!prof->finalized()) continue;
-      expectOracleWhatIf(*prof, scenario.name);
-      ++checked;
+    std::size_t finalized = 0;
+    for (const auto& prof : scope.profilers()) finalized += prof->finalized();
+    std::size_t logged = 0;
+    for (const auto& log : capture.logs()) {
+      if (!log->profiler || !log->profiler->finalized()) continue;
+      expectOracleWhatIf(*log->profiler, *log, scenario.name);
+      ++logged;
     }
+    EXPECT_EQ(logged, finalized) << scenario.name;
+    checked += logged;
   }
   EXPECT_GT(checked, 20u);
 }
@@ -583,11 +733,14 @@ TEST(ObsWhatIf, OnlineMatchesReplayWithANeverCompletedGate) {
                            (self.id() + n - 1) % n);
     co_await self.compute(2e-6);
   };
-  smpi::analysis::CaptureScope capture;
+  OpLogScope capture;
   Simulation sim(machineByName("BG/P"), 4);
   simPtr = &sim;
+  sim.enableProfile();
   sim.run(program);
-  expectOracleWhatIf(*sim.profiler(), "never-completed gate");
+  ASSERT_EQ(capture.logs().size(), 1u);
+  expectOracleWhatIf(*sim.profiler(), *capture.logs().front(),
+                     "never-completed gate");
   EXPECT_TRUE(sim.profiler()->profile().whatIf.valid);
 }
 
@@ -639,14 +792,14 @@ TEST(ObsWhatIf, ChunksRetiredMidRunKeepEveryResult) {
   EXPECT_EQ(profileJson(false), profileJson(true));
 }
 
-// ---- the profile does not depend on the op log --------------------------------
+// ---- the profile does not depend on capture ------------------------------
 
 /// writeJson of every profile the registry scenarios produce, each
 /// scenario's sorted (pool threads may construct them in any order), with
-/// or without a CaptureScope — which makes every profiler on this thread
-/// also keep the op log — around each scenario.
+/// or without a CaptureScope — which attaches an op-graph recorder to
+/// every Simulation on this thread — around each scenario.
 std::vector<std::string> registryProfiles(bool captured,
-                                          std::size_t* logs = nullptr) {
+                                          std::size_t* graphs = nullptr) {
   std::vector<std::string> out;
   for (const smpi::analysis::Scenario& scenario :
        smpi::analysis::scenarios()) {
@@ -657,10 +810,10 @@ std::vector<std::string> registryProfiles(bool captured,
       scenario.run();
     } catch (const std::exception&) {
     }
+    if (graphs && capture) *graphs += capture->graphs().size();
     std::vector<std::string> jsons;
     for (const auto& prof : scope.profilers()) {
       if (!prof->finalized()) continue;
-      if (logs && prof->keepsLog()) ++*logs;
       std::ostringstream os;
       writeJson(os, prof->profile(), scenario.name);
       jsons.push_back(os.str());
@@ -671,14 +824,14 @@ std::vector<std::string> registryProfiles(bool captured,
   return out;
 }
 
-TEST(ObsLevels, OpLogLeavesEveryRegistryProfileByteIdentical) {
-  std::size_t logs = 0;
+TEST(ObsLevels, CaptureLeavesEveryRegistryProfileByteIdentical) {
+  std::size_t graphs = 0;
   const std::vector<std::string> plain = registryProfiles(false);
-  const std::vector<std::string> logged = registryProfiles(true, &logs);
-  EXPECT_GT(logs, 20u);
-  ASSERT_EQ(plain.size(), logged.size());
+  const std::vector<std::string> captured = registryProfiles(true, &graphs);
+  EXPECT_GT(graphs, 20u);
+  ASSERT_EQ(plain.size(), captured.size());
   for (std::size_t i = 0; i < plain.size(); ++i)
-    EXPECT_EQ(plain[i], logged[i]) << "profile " << i;
+    EXPECT_EQ(plain[i], captured[i]) << "profile " << i;
 }
 
 }  // namespace

@@ -11,7 +11,9 @@
 
 #include "arch/machines.hpp"
 #include "core/evaluation.hpp"
+#include "hpcc/hpl_sim.hpp"
 #include "microbench/halo.hpp"
+#include "smpi/simulation.hpp"
 #include "support/thread_pool.hpp"
 
 namespace {
@@ -90,15 +92,48 @@ double haloPoint(double nranks) {
   return bgp::microbench::runHalo(c, 128);
 }
 
+/// An HPL simulation on a 4x8 grid: panel broadcasts and pivot
+/// reductions on row and column sub-communicators.
+double hplPoint() {
+  const bgp::hpcc::HplSimConfig cfg{bgp::arch::machineByName("BG/P"), 3840,
+                                    96, 4, 8};
+  return bgp::hpcc::runHplSimulation(cfg).seconds;
+}
+
+/// An alltoall storm on 256 VN ranks, each round chased by a wildcard
+/// sendrecv.
+double alltoallStormPoint() {
+  bgp::net::SystemOptions o;
+  o.mode = bgp::arch::ExecMode::VN;
+  bgp::smpi::Simulation sim(bgp::arch::machineByName("BG/P"), 256, o);
+  return sim
+      .run([](bgp::smpi::Rank& self) -> bgp::sim::Task {
+        for (int i = 0; i < 2; ++i) {
+          co_await self.alltoall(512.0);
+          co_await self.sendrecv((self.id() + 1) % self.size(), 4096,
+                                 bgp::smpi::kAnySource);
+        }
+      })
+      .makespan;
+}
+
+/// Sweep input x: halos on 256, 512 and 1024 ranks (x = 0..2), the HPL
+/// simulation (3) and the alltoall storm (4).
+double mixedPoint(double x) {
+  if (x < 3) return haloPoint(256 << static_cast<int>(x));
+  return x == 3 ? hplPoint() : alltoallStormPoint();
+}
+
 // The determinism regression the overhaul must keep: a parallel sweep's
 // series is byte-identical (bit-for-bit doubles, same order) to the
 // strictly serial reference, because every scenario owns its Simulation.
 TEST(Runner, SweepMatchesSweepSerialBitForBit) {
-  const std::vector<double> xs = {256, 512, 1024};
+  const std::vector<double> xs = {0, 1, 2, 3, 4};
   Series par, ser;
-  bgp::core::sweep(par, xs, haloPoint);
-  bgp::core::sweepSerial(ser, xs, haloPoint);
-  ASSERT_EQ(par.points.size(), ser.points.size());
+  bgp::core::sweep(par, xs, mixedPoint);
+  bgp::core::sweepSerial(ser, xs, mixedPoint);
+  ASSERT_EQ(par.points.size(), xs.size());
+  ASSERT_EQ(ser.points.size(), xs.size());
   for (std::size_t i = 0; i < par.points.size(); ++i) {
     EXPECT_EQ(par.points[i].x, ser.points[i].x);
     // EXPECT_EQ on doubles is exact — that is the point of the test.
