@@ -1,7 +1,8 @@
 #pragma once
 // Shared plumbing for the table/figure harnesses: CLI flags (--full for
 // the paper's complete sweeps, --csv for machine-readable output,
-// --threads=N to size the scenario thread pool) and output helpers.
+// --profile=PATH for an aggregate profile) and output helpers.  The
+// scenario thread pool is sized by BGP_THREADS.
 //
 // Wall-time reporting goes to stderr so stdout stays byte-identical across
 // runs and thread counts — figure/CSV output can be diffed while stderr
@@ -78,12 +79,6 @@ struct BenchOptions {
     BenchOptions o;
     o.full = cli.getBool("full");
     o.csv = cli.getBool("csv");
-    // --threads=N (or --serial) sizes the scenario pool before its lazy
-    // first use; BGP_THREADS from the environment is the fallback.
-    long threads = cli.getInt("threads", 0);
-    if (cli.getBool("serial")) threads = 1;
-    if (threads > 0)
-      ::setenv("BGP_THREADS", std::to_string(threads).c_str(), 1);
     std::atexit(+[] {
       std::fprintf(stderr, "[wall] bench total: %.2f s\n",
                    secondsSince(benchStart()));

@@ -43,11 +43,4 @@ std::string toString(ExecMode mode) {
   BGP_UNREACHABLE();
 }
 
-ExecMode execModeFromString(const std::string& s) {
-  if (s == "SMP" || s == "smp" || s == "SN") return ExecMode::SMP;
-  if (s == "DUAL" || s == "dual") return ExecMode::DUAL;
-  if (s == "VN" || s == "vn") return ExecMode::VN;
-  BGP_FAIL("unknown exec mode: " + s);
-}
-
 }  // namespace bgp::arch

@@ -25,6 +25,5 @@ int threadsPerTask(ExecMode mode, const MachineConfig& machine,
 double memPerTaskBytes(ExecMode mode, const MachineConfig& machine);
 
 std::string toString(ExecMode mode);
-ExecMode execModeFromString(const std::string& s);
 
 }  // namespace bgp::arch

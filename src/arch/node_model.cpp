@@ -12,24 +12,6 @@ double NodeModel::threadSpeedup(int threads) const {
   return 1.0 + (threads - 1) * machine_.ompEfficiency;
 }
 
-double NodeModel::threadSpeedupAmdahl(int threads,
-                                      double serialFraction) const {
-  BGP_REQUIRE(threads >= 1);
-  BGP_REQUIRE(serialFraction >= 0.0 && serialFraction <= 1.0);
-  const double parallelSpeedup = threadSpeedup(threads);
-  return 1.0 /
-         (serialFraction + (1.0 - serialFraction) / parallelSpeedup);
-}
-
-double NodeModel::regionTime(double singleThreadSeconds, int threads,
-                             double serialFraction,
-                             double forkJoinSeconds) const {
-  BGP_REQUIRE(singleThreadSeconds >= 0.0 && forkJoinSeconds >= 0.0);
-  if (threads == 1) return singleThreadSeconds;
-  return singleThreadSeconds / threadSpeedupAmdahl(threads, serialFraction) +
-         forkJoinSeconds;
-}
-
 double NodeModel::time(const Work& w, int threads, int tasksOnNode,
                        double slowdown) const {
   BGP_REQUIRE(threads >= 1 && tasksOnNode >= 1);

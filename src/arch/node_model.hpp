@@ -53,20 +53,6 @@ class NodeModel {
   /// OpenMP efficiency (1 + (t-1)*eff).
   double threadSpeedup(int threads) const;
 
-  /// Amdahl-form OpenMP region speedup: a `serialFraction` of the region
-  /// cannot thread, the rest scales at the machine's per-thread
-  /// efficiency, and each fork/join pays `forkJoinSeconds` (returned
-  /// separately by regionTime).  Used when an application's threading
-  /// behaviour is phase-structured rather than uniform (CAM's dynamics vs
-  /// physics is the canonical case).
-  double threadSpeedupAmdahl(int threads, double serialFraction) const;
-
-  /// Wall time of an OpenMP region of `serialSeconds` single-thread work
-  /// with the given serial fraction and per-region fork/join overhead.
-  double regionTime(double singleThreadSeconds, int threads,
-                    double serialFraction,
-                    double forkJoinSeconds = 2e-6) const;
-
   const MachineConfig& machine() const { return machine_; }
 
  private:

@@ -1,6 +1,5 @@
 #include "core/evaluation.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -11,15 +10,6 @@
 #include "support/table.hpp"
 
 namespace bgp::core {
-
-double Series::lastY() const {
-  BGP_REQUIRE(!points.empty());
-  return std::max_element(points.begin(), points.end(),
-                          [](const SeriesPoint& a, const SeriesPoint& b) {
-                            return a.x < b.x;
-                          })
-      ->y;
-}
 
 double Series::yAt(double x) const {
   for (const auto& p : points)
@@ -107,15 +97,9 @@ void Figure::printCsv(std::ostream& os) const {
 
 void sweep(Series& out, const std::vector<double>& xs,
            const std::function<double(double)>& fn) {
-  // An effectively-serial pool (one core, or BGP_THREADS=1) makes the
-  // staging buffer pure overhead; run the serial sweep outright so both
-  // paths are literally the same code.
-  if (support::ThreadPool::global().threadCount() <= 1) {
-    sweepSerial(out, xs, fn);
-    return;
-  }
   // Evaluate every point concurrently, then append the valid ones in x
   // order so the resulting series is byte-identical to the serial sweep.
+  // A pool of at most one worker runs the points inline, in index order.
   struct Cell {
     double y = 0.0;
     bool valid = false;
@@ -152,15 +136,6 @@ std::vector<double> powersOfTwo(int from, int to) {
   std::vector<double> xs;
   for (long v = from; v <= to; v *= 2) xs.push_back(static_cast<double>(v));
   return xs;
-}
-
-std::vector<SeriesPoint> ratio(const Series& a, const Series& b) {
-  std::vector<SeriesPoint> out;
-  for (const auto& p : a.points) {
-    if (b.hasX(p.x) && b.yAt(p.x) != 0.0)
-      out.push_back(SeriesPoint{p.x, p.y / b.yAt(p.x)});
-  }
-  return out;
 }
 
 }  // namespace bgp::core

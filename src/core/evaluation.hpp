@@ -26,8 +26,6 @@ struct Series {
   std::string label;
   std::vector<SeriesPoint> points;
 
-  /// y at the largest x.
-  double lastY() const;
   /// y at x (exact match); throws if absent.
   double yAt(double x) const;
   bool hasX(double x) const;
@@ -85,8 +83,5 @@ std::vector<R> parallelMap(std::size_t n, const Fn& fn) {
 
 /// Standard process-count sweeps used throughout the benches.
 std::vector<double> powersOfTwo(int from, int to);
-
-/// Ratio of two series at their common x values (a / b).
-std::vector<SeriesPoint> ratio(const Series& a, const Series& b);
 
 }  // namespace bgp::core

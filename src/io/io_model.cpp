@@ -47,8 +47,8 @@ IoSubsystem::IoSubsystem(IoConfig config, std::int64_t computeNodes)
              config.computeNodesPerIoNode;
 }
 
-IoBreakdown IoSubsystem::transfer(std::int64_t nranks, double bytesPerRank,
-                                  IoPattern pattern, bool isWrite) const {
+IoBreakdown IoSubsystem::write(std::int64_t nranks, double bytesPerRank,
+                               IoPattern pattern) const {
   BGP_REQUIRE(nranks >= 1);
   BGP_REQUIRE(bytesPerRank >= 0);
   const double totalBytes = static_cast<double>(nranks) * bytesPerRank;
@@ -65,7 +65,7 @@ IoBreakdown IoSubsystem::transfer(std::int64_t nranks, double bytesPerRank,
     b.externalSeconds = totalBytes / config_.ioNodeNicBandwidth;
     b.serverSeconds = totalBytes / config_.singleStreamBandwidth;
     b.lunSeconds = totalBytes / config_.lunBandwidth;
-    b.metadataSeconds = isWrite ? config_.metadataOpLatency : 0.0;
+    b.metadataSeconds = config_.metadataOpLatency;
     b.totalSeconds = totalBytes / stream + b.metadataSeconds +
                      config_.forwardLatency;
     b.bottleneck = "single stream";
@@ -100,9 +100,8 @@ IoBreakdown IoSubsystem::transfer(std::int64_t nranks, double bytesPerRank,
   b.serverSeconds = totalBytes / (config_.fileServers *
                                   config_.serverBandwidth * patternEff);
   b.lunSeconds = totalBytes / (config_.luns * config_.lunBandwidth);
-  b.metadataSeconds = isWrite ? metadataOps * config_.metadataOpLatency /
-                                    config_.metadataServers
-                              : 0.0;
+  b.metadataSeconds =
+      metadataOps * config_.metadataOpLatency / config_.metadataServers;
 
   const double pipeline = std::max({b.forwardSeconds, b.externalSeconds,
                                     b.serverSeconds, b.lunSeconds});
@@ -119,16 +118,6 @@ IoBreakdown IoSubsystem::transfer(std::int64_t nranks, double bytesPerRank,
   if (b.metadataSeconds > pipeline) b.bottleneck = "metadata";
   b.bandwidth = b.totalSeconds > 0 ? totalBytes / b.totalSeconds : 0.0;
   return b;
-}
-
-IoBreakdown IoSubsystem::write(std::int64_t nranks, double bytesPerRank,
-                               IoPattern pattern) const {
-  return transfer(nranks, bytesPerRank, pattern, /*isWrite=*/true);
-}
-
-IoBreakdown IoSubsystem::read(std::int64_t nranks, double bytesPerRank,
-                              IoPattern pattern) const {
-  return transfer(nranks, bytesPerRank, pattern, /*isWrite=*/false);
 }
 
 }  // namespace bgp::io

@@ -79,17 +79,10 @@ class IoSubsystem {
   IoBreakdown write(std::int64_t nranks, double bytesPerRank,
                     IoPattern pattern) const;
 
-  /// Reads skip lock traffic and file creation; otherwise symmetric.
-  IoBreakdown read(std::int64_t nranks, double bytesPerRank,
-                   IoPattern pattern) const;
-
   std::int64_t ioNodes() const { return ioNodes_; }
   const IoConfig& config() const { return config_; }
 
  private:
-  IoBreakdown transfer(std::int64_t nranks, double bytesPerRank,
-                       IoPattern pattern, bool isWrite) const;
-
   IoConfig config_;
   std::int64_t computeNodes_;
   std::int64_t ioNodes_;

@@ -1,26 +1,8 @@
 #include "kernels/stream.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <vector>
-
 #include "support/expect.hpp"
 
 namespace bgp::kernels {
-
-std::string toString(StreamKernel k) {
-  switch (k) {
-    case StreamKernel::Copy:
-      return "Copy";
-    case StreamKernel::Scale:
-      return "Scale";
-    case StreamKernel::Add:
-      return "Add";
-    case StreamKernel::Triad:
-      return "Triad";
-  }
-  BGP_UNREACHABLE();
-}
 
 double streamBytesPerElement(StreamKernel k) {
   switch (k) {
@@ -54,28 +36,6 @@ void streamPass(StreamKernel k, std::span<double> a, std::span<const double> b,
       for (std::size_t i = 0; i < n; ++i) a[i] = b[i] + scalar * c[i];
       break;
   }
-}
-
-StreamResult runStream(StreamKernel k, std::size_t n, int reps) {
-  BGP_REQUIRE(n > 0 && reps > 0);
-  std::vector<double> a(n, 0.0), b(n, 1.0), c(n, 2.0);
-  using Clock = std::chrono::steady_clock;
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = Clock::now();
-    streamPass(k, a, b, c);
-    const auto t1 = Clock::now();
-    best = std::min(best,
-                    std::chrono::duration<double>(t1 - t0).count());
-    // Keep the compiler honest: fold the result back into a source.
-    b[static_cast<std::size_t>(r) % n] = a[0] + 1.0;
-  }
-  StreamResult result;
-  result.bestSeconds = best;
-  result.bandwidthBytesPerSec =
-      best > 0 ? streamBytesPerElement(k) * static_cast<double>(n) / best
-               : 0.0;
-  return result;
 }
 
 }  // namespace bgp::kernels

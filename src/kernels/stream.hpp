@@ -4,13 +4,10 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 
 namespace bgp::kernels {
 
 enum class StreamKernel { Copy, Scale, Add, Triad };
-
-std::string toString(StreamKernel k);
 
 /// Bytes moved per element for a kernel (2 or 3 doubles).
 double streamBytesPerElement(StreamKernel k);
@@ -19,15 +16,5 @@ double streamBytesPerElement(StreamKernel k);
 /// destination; b and c are sources (c unused by Copy/Scale).
 void streamPass(StreamKernel k, std::span<double> a, std::span<const double> b,
                 std::span<const double> c, double scalar = 3.0);
-
-struct StreamResult {
-  double bestSeconds = 0.0;
-  double bandwidthBytesPerSec = 0.0;
-};
-
-/// Times `reps` passes of the kernel over freshly initialized arrays of
-/// `n` doubles on the host and reports the best-pass bandwidth, exactly as
-/// the STREAM benchmark does.
-StreamResult runStream(StreamKernel k, std::size_t n, int reps = 5);
 
 }  // namespace bgp::kernels

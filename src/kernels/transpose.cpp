@@ -1,7 +1,6 @@
 #include "kernels/transpose.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "support/expect.hpp"
 
@@ -16,7 +15,7 @@ void transpose(std::size_t rows, std::size_t cols, std::span<const double> in,
   BGP_REQUIRE(in.size() >= rows * cols);
   BGP_REQUIRE(out.size() >= rows * cols);
   BGP_REQUIRE_MSG(in.data() != out.data(),
-                  "use transposeSquareInPlace for in-place transposes");
+                  "in-place transposes are not supported");
   for (std::size_t i0 = 0; i0 < rows; i0 += kBlock) {
     const std::size_t iMax = std::min(i0 + kBlock, rows);
     for (std::size_t j0 = 0; j0 < cols; j0 += kBlock) {
@@ -26,13 +25,6 @@ void transpose(std::size_t rows, std::size_t cols, std::span<const double> in,
           out[j * rows + i] = in[i * cols + j];
     }
   }
-}
-
-void transposeSquareInPlace(std::size_t n, std::span<double> a) {
-  BGP_REQUIRE(a.size() >= n * n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j)
-      std::swap(a[i * n + j], a[j * n + i]);
 }
 
 }  // namespace bgp::kernels

@@ -12,7 +12,4 @@ namespace bgp::kernels {
 void transpose(std::size_t rows, std::size_t cols, std::span<const double> in,
                std::span<double> out);
 
-/// In-place transpose of a square n x n matrix.
-void transposeSquareInPlace(std::size_t n, std::span<double> a);
-
 }  // namespace bgp::kernels

@@ -29,25 +29,4 @@ double mflopsPerWatt(double flopsPerSec, double watts) {
   return flopsPerSec / 1e6 / watts;
 }
 
-double energyJoules(const arch::MachineConfig& machine, std::int64_t cores,
-                    LoadKind load, double seconds) {
-  BGP_REQUIRE(seconds >= 0);
-  return systemPowerWatts(machine, cores, load) * seconds;
-}
-
-EnergyMeter::EnergyMeter(const arch::MachineConfig& machine,
-                         std::int64_t cores)
-    : machine_(machine), cores_(cores) {
-  BGP_REQUIRE(cores >= 1);
-}
-
-void EnergyMeter::addPhase(LoadKind load, double seconds) {
-  joules_ += energyJoules(machine_, cores_, load, seconds);
-  seconds_ += seconds;
-}
-
-double EnergyMeter::averageWatts() const {
-  return seconds_ > 0 ? joules_ / seconds_ : 0.0;
-}
-
 }  // namespace bgp::power

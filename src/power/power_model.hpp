@@ -21,29 +21,4 @@ double systemPowerWatts(const arch::MachineConfig& machine,
 /// MFlops per watt — the Green500 metric.
 double mflopsPerWatt(double flopsPerSec, double watts);
 
-/// Energy (J) to run a workload of `seconds` at the given load.
-double energyJoules(const arch::MachineConfig& machine, std::int64_t cores,
-                    LoadKind load, double seconds);
-
-/// Accumulates energy across phases with different loads (e.g. an HPL run
-/// followed by idle drain).
-class EnergyMeter {
- public:
-  explicit EnergyMeter(const arch::MachineConfig& machine,
-                       std::int64_t cores);
-
-  void addPhase(LoadKind load, double seconds);
-
-  double joules() const { return joules_; }
-  double seconds() const { return seconds_; }
-  /// Mean power over everything recorded so far; 0 before any phase.
-  double averageWatts() const;
-
- private:
-  arch::MachineConfig machine_;
-  std::int64_t cores_;
-  double joules_ = 0.0;
-  double seconds_ = 0.0;
-};
-
 }  // namespace bgp::power

@@ -7,16 +7,6 @@
 
 namespace bgp::smpi::analysis {
 
-const char* toString(OpKind kind) {
-  switch (kind) {
-    case OpKind::Send: return "send";
-    case OpKind::Recv: return "recv";
-    case OpKind::Coll: return "collective";
-    case OpKind::Wait: return "wait";
-  }
-  BGP_UNREACHABLE();
-}
-
 std::int32_t OpGraph::add(OpNode n) {
   BGP_REQUIRE(n.world >= 0 && n.world < nranks_);
   BGP_CHECK_MSG(clocks_.empty(), "op-graph frozen after computeClocks()");

@@ -37,8 +37,6 @@ namespace bgp::smpi::analysis {
 
 enum class OpKind : std::uint8_t { Send, Recv, Coll, Wait };
 
-const char* toString(OpKind kind);
-
 /// One captured runtime event.  Fields that do not apply to a kind keep
 /// their defaults (e.g. sig on a Send).
 struct OpNode {

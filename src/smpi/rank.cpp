@@ -248,69 +248,44 @@ AwaitOps Rank::alltoall(double bytesPerPair) {
   return alltoall(sim_->world(), bytesPerPair);
 }
 AwaitOps Rank::gather(double bytes, int root) {
-  ++sim_->statsOf(id_).collectives;
-  return AwaitOps(*sim_, *this,
-                  {sim_->joinCollective(sim_->world(),
-                                        sim_->world().commRankOf(id_),
-                                        net::CollKind::Gather, bytes,
-                                        net::Dtype::Byte, root)});
+  return collective(sim_->world(), net::CollKind::Gather, bytes,
+                    net::Dtype::Byte, root);
 }
 AwaitOps Rank::scatter(double bytes, int root) {
-  ++sim_->statsOf(id_).collectives;
-  return AwaitOps(*sim_, *this,
-                  {sim_->joinCollective(sim_->world(),
-                                        sim_->world().commRankOf(id_),
-                                        net::CollKind::Scatter, bytes,
-                                        net::Dtype::Byte, root)});
+  return collective(sim_->world(), net::CollKind::Scatter, bytes,
+                    net::Dtype::Byte, root);
 }
 
 AwaitOps Rank::barrier(Comm& comm) {
-  ++sim_->statsOf(id_).collectives;
-  return AwaitOps(
-      *sim_, *this,
-      {sim_->joinCollective(comm, comm.commRankOf(id_),
-                            net::CollKind::Barrier, 0, net::Dtype::Byte)});
+  return collective(comm, net::CollKind::Barrier, 0);
 }
 AwaitOps Rank::bcast(Comm& comm, double bytes, int root) {
-  ++sim_->statsOf(id_).collectives;
   // Timing is root-independent in the analytic model, but the verifier
   // still checks that all ranks agree on the root.
-  return AwaitOps(
-      *sim_, *this,
-      {sim_->joinCollective(comm, comm.commRankOf(id_), net::CollKind::Bcast,
-                            bytes, net::Dtype::Byte, root)});
+  return collective(comm, net::CollKind::Bcast, bytes, net::Dtype::Byte,
+                    root);
 }
 AwaitOps Rank::reduce(Comm& comm, double bytes, int root, net::Dtype dt,
                       ReduceOp op) {
-  ++sim_->statsOf(id_).collectives;
-  return AwaitOps(*sim_, *this,
-                  {sim_->joinCollective(comm, comm.commRankOf(id_),
-                                        net::CollKind::Reduce, bytes, dt,
-                                        root, op)});
+  return collective(comm, net::CollKind::Reduce, bytes, dt, root, op);
 }
 AwaitOps Rank::allreduce(Comm& comm, double bytes, net::Dtype dt,
                          ReduceOp op) {
-  ++sim_->statsOf(id_).collectives;
-  return AwaitOps(*sim_, *this,
-                  {sim_->joinCollective(comm, comm.commRankOf(id_),
-                                        net::CollKind::Allreduce, bytes, dt,
-                                        -1, op)});
+  return collective(comm, net::CollKind::Allreduce, bytes, dt, -1, op);
 }
 AwaitOps Rank::allgather(Comm& comm, double bytesPerRank) {
-  ++sim_->statsOf(id_).collectives;
-  return AwaitOps(
-      *sim_, *this,
-      {sim_->joinCollective(comm, comm.commRankOf(id_),
-                            net::CollKind::Allgather, bytesPerRank,
-                            net::Dtype::Byte)});
+  return collective(comm, net::CollKind::Allgather, bytesPerRank);
 }
 AwaitOps Rank::alltoall(Comm& comm, double bytesPerPair) {
+  return collective(comm, net::CollKind::Alltoall, bytesPerPair);
+}
+
+AwaitOps Rank::collective(Comm& comm, net::CollKind kind, double bytes,
+                          net::Dtype dt, int root, ReduceOp op) {
   ++sim_->statsOf(id_).collectives;
-  return AwaitOps(
-      *sim_, *this,
-      {sim_->joinCollective(comm, comm.commRankOf(id_),
-                            net::CollKind::Alltoall, bytesPerPair,
-                            net::Dtype::Byte)});
+  return AwaitOps(*sim_, *this,
+                  {sim_->joinCollective(comm, comm.commRankOf(id_), kind,
+                                        bytes, dt, root, op)});
 }
 
 double Rank::collectiveCost(net::CollKind kind, double bytes,

@@ -196,6 +196,12 @@ class Rank {
   friend class AwaitAny;
   friend class AwaitCompute;
 
+  /// Joins `comm`'s next collective and awaits it: the body of every
+  /// collective call above.
+  AwaitOps collective(Comm& comm, net::CollKind kind, double bytes,
+                      net::Dtype dt = net::Dtype::Byte, int root = -1,
+                      ReduceOp op = ReduceOp::None);
+
   // A Rank is a thin handle: the runtime state the engine mutates on
   // every block/unblock (stats, blockedOn, pendingOps) lives in the
   // Simulation's SoA arrays, keyed by id_ — 48 bytes per rank here

@@ -115,8 +115,9 @@ struct OpState {
   union {
     // Send: destination comm rank and tag.  Recv: the wanted source (or
     // kAnySource) and tag (or kAnyTag) until the receive matches, then the
-    // matched message's — info() reads them back.
-    struct {
+    // matched message's — info() reads them back.  Anonymous structs are
+    // a GCC/Clang extension.
+    __extension__ struct {
       int peer;
       int tag;
     };

@@ -210,13 +210,4 @@ void Verifier::finalize(const std::vector<const Comm*>& comms) {
   }
 }
 
-void Verifier::report(std::ostream& os) const {
-  if (defects_.empty()) {
-    os << "verifier: no defects detected\n";
-    return;
-  }
-  os << "verifier: " << defects_.size() << " defect(s):\n";
-  for (const auto& d : defects_) os << "  - " << d << "\n";
-}
-
 }  // namespace bgp::smpi

@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -84,7 +83,6 @@ class Verifier final : public Observer {
   /// All defects recorded so far (empty = clean program).
   const std::vector<std::string>& defects() const { return defects_; }
   bool clean() const { return defects_.empty(); }
-  void report(std::ostream& os) const;
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;

@@ -1,7 +1,6 @@
 #include "support/table.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 
 #include "support/expect.hpp"
@@ -15,20 +14,6 @@ Table::Table(std::vector<std::string> header) : header_(std::move(header)) {
 void Table::addRow(std::vector<std::string> row) {
   BGP_REQUIRE_MSG(row.size() == header_.size(),
                   "row arity must match header");
-  rows_.push_back(std::move(row));
-}
-
-void Table::addRow(const std::string& label, const std::vector<double>& values,
-                   const char* fmt) {
-  BGP_REQUIRE(values.size() + 1 == header_.size());
-  std::vector<std::string> row;
-  row.reserve(values.size() + 1);
-  row.push_back(label);
-  char buf[64];
-  for (double v : values) {
-    std::snprintf(buf, sizeof buf, fmt, v);
-    row.emplace_back(buf);
-  }
   rows_.push_back(std::move(row));
 }
 

@@ -18,10 +18,6 @@ class Table {
   /// Adds a row; must have the same arity as the header.
   void addRow(std::vector<std::string> row);
 
-  /// Convenience: formats each double with the given printf format.
-  void addRow(const std::string& label, const std::vector<double>& values,
-              const char* fmt = "%.4g");
-
   std::size_t rows() const { return rows_.size(); }
   std::size_t cols() const { return header_.size(); }
   const std::vector<std::string>& row(std::size_t i) const { return rows_[i]; }

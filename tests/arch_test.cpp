@@ -121,9 +121,6 @@ TEST(ExecMode, MemPerTask) {
 
 TEST(ExecMode, Strings) {
   EXPECT_EQ(toString(ExecMode::DUAL), "DUAL");
-  EXPECT_EQ(execModeFromString("VN"), ExecMode::VN);
-  EXPECT_EQ(execModeFromString("SN"), ExecMode::SMP);  // Cray naming
-  EXPECT_THROW(execModeFromString("QUAD"), PreconditionError);
 }
 
 // ---- node model ----------------------------------------------------------------
@@ -191,25 +188,6 @@ TEST(NodeModel, WorkComposition) {
   EXPECT_DOUBLE_EQ(a.flopEfficiency, 0.5);  // conservative combine
   const Work scaled = b * 2.0;
   EXPECT_DOUBLE_EQ(scaled.flops, 6e6);
-}
-
-TEST(NodeModel, AmdahlSpeedupBounds) {
-  const NodeModel nm(machineByName("BG/P"));
-  // No serial fraction: reduces to the linear-efficiency speedup.
-  EXPECT_DOUBLE_EQ(nm.threadSpeedupAmdahl(4, 0.0), nm.threadSpeedup(4));
-  // All serial: no speedup at all.
-  EXPECT_DOUBLE_EQ(nm.threadSpeedupAmdahl(4, 1.0), 1.0);
-  // 10% serial caps the 4-thread speedup well below 3.7x.
-  const double s = nm.threadSpeedupAmdahl(4, 0.10);
-  EXPECT_LT(s, 3.0);
-  EXPECT_GT(s, 2.0);
-}
-
-TEST(NodeModel, RegionTimeIncludesForkJoin) {
-  const NodeModel nm(machineByName("BG/P"));
-  EXPECT_DOUBLE_EQ(nm.regionTime(1.0, 1, 0.5), 1.0);  // no region on 1 thread
-  const double t = nm.regionTime(1.0, 4, 0.0, 1e-3);
-  EXPECT_NEAR(t, 1.0 / nm.threadSpeedup(4) + 1e-3, 1e-12);
 }
 
 TEST(Machines, OsNoiseOnlyOnLinuxNodes) {

@@ -13,7 +13,6 @@ namespace {
 
 TEST(Series, Accessors) {
   Series s{"test", {{1, 10}, {2, 20}, {4, 40}}};
-  EXPECT_DOUBLE_EQ(s.lastY(), 40);
   EXPECT_DOUBLE_EQ(s.yAt(2), 20);
   EXPECT_TRUE(s.hasX(4));
   EXPECT_FALSE(s.hasX(3));
@@ -88,15 +87,6 @@ TEST(PowersOfTwo, GeneratesRange) {
   ASSERT_EQ(xs.size(), 4u);
   EXPECT_DOUBLE_EQ(xs.front(), 256);
   EXPECT_DOUBLE_EQ(xs.back(), 2048);
-}
-
-TEST(Ratio, CommonPointsOnly) {
-  Series a{"a", {{1, 10}, {2, 20}, {3, 30}}};
-  Series b{"b", {{1, 5}, {3, 10}}};
-  const auto r = ratio(a, b);
-  ASSERT_EQ(r.size(), 2u);
-  EXPECT_DOUBLE_EQ(r[0].y, 2.0);
-  EXPECT_DOUBLE_EQ(r[1].y, 3.0);
 }
 
 }  // namespace

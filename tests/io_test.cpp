@@ -70,14 +70,6 @@ TEST(Io, SingleWriterDoesNotScale) {
   EXPECT_LT(coll.totalSeconds, 0.3 * at8192.totalSeconds);
 }
 
-TEST(Io, ReadsSkipMetadataCreates) {
-  const auto sys = ornlBgp();
-  const auto w = sys.write(4096, 1e5, IoPattern::FilePerProcess);
-  const auto r = sys.read(4096, 1e5, IoPattern::FilePerProcess);
-  EXPECT_LT(r.totalSeconds, w.totalSeconds);
-  EXPECT_DOUBLE_EQ(r.metadataSeconds, 0.0);
-}
-
 TEST(Io, XtConfigDiffers) {
   const auto cfg = ioConfigFor(machineByName("XT4/QC"), 1024);
   EXPECT_NE(cfg.computeNodesPerIoNode, 64);

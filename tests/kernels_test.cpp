@@ -10,7 +10,6 @@
 #include "kernels/cg.hpp"
 #include "kernels/dgemm.hpp"
 #include "kernels/fft.hpp"
-#include "kernels/blas1.hpp"
 #include "kernels/lu.hpp"
 #include "kernels/randomaccess.hpp"
 #include "kernels/stream.hpp"
@@ -101,12 +100,6 @@ TEST(Stream, BytesPerElement) {
   EXPECT_DOUBLE_EQ(streamBytesPerElement(StreamKernel::Triad), 24);
 }
 
-TEST(Stream, RunReportsPositiveBandwidth) {
-  const auto r = runStream(StreamKernel::Triad, 1 << 16, 3);
-  EXPECT_GT(r.bandwidthBytesPerSec, 0.0);
-  EXPECT_GT(r.bestSeconds, 0.0);
-}
-
 // ---- fft ----------------------------------------------------------------------
 
 TEST(Fft, MatchesNaiveDft) {
@@ -190,16 +183,6 @@ TEST(Transpose, ElementsLandCorrectly) {
   for (std::size_t i = 0; i < r; ++i)
     for (std::size_t j = 0; j < c; ++j)
       EXPECT_DOUBLE_EQ(out[j * r + i], in[i * c + j]);
-}
-
-TEST(Transpose, SquareInPlace) {
-  const std::size_t n = 40;
-  auto a = randomVector(n * n, 23);
-  auto expected = a;
-  transposeSquareInPlace(n, a);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      EXPECT_DOUBLE_EQ(a[i * n + j], expected[j * n + i]);
 }
 
 TEST(Transpose, InPlaceAliasRejected) {
@@ -422,50 +405,6 @@ INSTANTIATE_TEST_SUITE_P(Grids, CgGrids,
                                            std::pair{13, 7},
                                            std::pair{32, 32},
                                            std::pair{50, 20}));
-
-// ---- blas1 --------------------------------------------------------------------
-
-TEST(Blas1, DaxpyDdot) {
-  std::vector<double> x = {1, 2, 3};
-  std::vector<double> y = {4, 5, 6};
-  daxpy(2.0, x, y);
-  EXPECT_EQ(y, (std::vector<double>{6, 9, 12}));
-  EXPECT_DOUBLE_EQ(ddot(x, y), 6 + 18 + 36);
-}
-
-TEST(Blas1, Dnrm2StableForExtremeValues) {
-  // The scaled accumulation must survive values whose squares overflow.
-  std::vector<double> big = {1e200, 1e200};
-  EXPECT_NEAR(dnrm2(big), 1e200 * std::sqrt(2.0), 1e186);
-  std::vector<double> v = {3, 4};
-  EXPECT_DOUBLE_EQ(dnrm2(v), 5.0);
-  EXPECT_DOUBLE_EQ(dnrm2(std::vector<double>{}), 0.0);
-}
-
-TEST(Blas1, DscalAndIdamax) {
-  std::vector<double> x = {-7, 2, 5};
-  EXPECT_DOUBLE_EQ(idamaxValue(x), 7.0);
-  dscal(0.5, x);
-  EXPECT_DOUBLE_EQ(x[0], -3.5);
-}
-
-TEST(Blas1, ParallelMatchesSerial) {
-  const auto x = randomVector(10000, 71);
-  auto y1 = randomVector(10000, 72);
-  auto y2 = y1;
-  daxpy(1.7, x, y1);
-  daxpyParallel(1.7, x, y2, 4);
-  for (std::size_t i = 0; i < y1.size(); ++i)
-    EXPECT_DOUBLE_EQ(y1[i], y2[i]);
-  EXPECT_NEAR(ddotParallel(x, y2, 4), ddot(x, y1), 1e-7 * std::fabs(ddot(x, y1)));
-}
-
-TEST(Blas1, MismatchedSizesRejected) {
-  std::vector<double> a(3), b(4);
-  EXPECT_THROW(daxpy(1.0, a, b), PreconditionError);
-  EXPECT_THROW(ddot(a, b), PreconditionError);
-  EXPECT_THROW(idamaxValue(std::vector<double>{}), PreconditionError);
-}
 
 }  // namespace
 }  // namespace bgp::kernels

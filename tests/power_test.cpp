@@ -50,30 +50,6 @@ TEST(Power, IdleBelowLoad) {
   }
 }
 
-TEST(Power, EnergyIntegration) {
-  const auto bgp = machineByName("BG/P");
-  EXPECT_DOUBLE_EQ(energyJoules(bgp, 1000, LoadKind::HPL, 10.0),
-                   7.7 * 1000 * 10.0);
-  EXPECT_THROW(energyJoules(bgp, 1000, LoadKind::HPL, -1.0),
-               PreconditionError);
-}
-
-TEST(Power, MeterAccumulatesPhases) {
-  EnergyMeter meter(machineByName("BG/P"), 8192);
-  meter.addPhase(LoadKind::HPL, 100.0);
-  meter.addPhase(LoadKind::Idle, 100.0);
-  const double expected = (7.7 + 5.4) * 8192 * 100.0;
-  EXPECT_NEAR(meter.joules(), expected, 1.0);
-  EXPECT_NEAR(meter.averageWatts(), expected / 200.0, 1e-6);
-  EXPECT_DOUBLE_EQ(meter.seconds(), 200.0);
-}
-
-TEST(Power, MeterEmptyIsZero) {
-  EnergyMeter meter(machineByName("BG/P"), 1);
-  EXPECT_DOUBLE_EQ(meter.averageWatts(), 0.0);
-  EXPECT_DOUBLE_EQ(meter.joules(), 0.0);
-}
-
 TEST(Power, RejectsBadInputs) {
   const auto bgp = machineByName("BG/P");
   EXPECT_THROW(systemPowerWatts(bgp, 0, LoadKind::HPL), PreconditionError);

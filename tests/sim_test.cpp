@@ -2,15 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <stdexcept>
 #include <vector>
 
-#include "sim/awaitables.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 
 namespace bgp::sim {
 namespace {
+
+/// `co_await Delay{engine, dt}` — resume after `dt` simulated seconds.
+struct Delay {
+  Engine& engine;
+  SimTime duration;
+
+  bool await_ready() const noexcept { return duration <= 0.0; }
+  void await_suspend(std::coroutine_handle<> h) const {
+    engine.schedule(engine.now() + duration, h);
+  }
+  void await_resume() const noexcept {}
+};
 
 TEST(Engine, StartsAtZero) {
   Engine e;
@@ -175,47 +187,6 @@ TEST(Task, CoroutinesInterleaveByTime) {
   e.schedule(0.0, b.handle());
   e.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-}
-
-// ---- Gate -------------------------------------------------------------------
-
-Task waitGate(Gate& g, Engine& e, std::vector<double>& wakes) {
-  co_await g.wait();
-  wakes.push_back(e.now());
-}
-
-TEST(Gate, ReleasesAllWaitersAtOpenTime) {
-  Engine e;
-  Gate g(e);
-  std::vector<double> wakes;
-  Task a = waitGate(g, e, wakes);
-  Task b = waitGate(g, e, wakes);
-  e.schedule(0.0, a.handle());
-  e.schedule(0.0, b.handle());
-  e.scheduleCallback(3.0, [&] { g.open(5.0); });
-  e.run();
-  ASSERT_EQ(wakes.size(), 2u);
-  EXPECT_DOUBLE_EQ(wakes[0], 5.0);
-  EXPECT_DOUBLE_EQ(wakes[1], 5.0);
-}
-
-TEST(Gate, LateWaiterPassesThrough) {
-  Engine e;
-  Gate g(e);
-  g.open(0.0);
-  std::vector<double> wakes;
-  Task a = waitGate(g, e, wakes);
-  e.schedule(1.0, a.handle());
-  e.run();
-  ASSERT_EQ(wakes.size(), 1u);
-  EXPECT_DOUBLE_EQ(wakes[0], 1.0);
-}
-
-TEST(Gate, DoubleOpenThrows) {
-  Engine e;
-  Gate g(e);
-  g.open(0.0);
-  EXPECT_THROW(g.open(1.0), PreconditionError);
 }
 
 // At the scale of the biggest experiments (40k ranks), the engine pushes
