@@ -19,7 +19,7 @@ namespace {
 using namespace bgp;
 
 double timeAlgo(
-    int p, const std::function<sim::SubTask(smpi::Rank&, smpi::Comm&)>& fn) {
+    int p, const std::function<sim::Task(smpi::Rank&, smpi::Comm&)>& fn) {
   smpi::Simulation sim(arch::machineByName("XT4/QC"), p);
   double elapsed = 0;
   sim.run([&](smpi::Rank& self) -> sim::Task {

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# The one-command gate: warning-free default build + full ctest, sanitizer
-# tier-1 and golden outputs, source lint, the smpilint paper-scenario
-# sweep, and the bgpprof observability smoke (profile determinism +
-# invariants).  Green here means shippable.
+# The one-command gate: warning-free default build + full ctest, a
+# warning-free sanitizer build with tier-1 and golden outputs, source
+# lint, the smpilint paper-scenario sweep, and the bgpprof observability
+# smoke (profile determinism + invariants).  Green here means shippable.
 #
 # Usage: scripts/check.sh [--skip-sanitize] [--skip-tsan]
 set -euo pipefail
@@ -37,9 +37,16 @@ fi
 ctest --preset default -j"$jobs"
 
 if [[ $skip_sanitize -eq 0 ]]; then
-  echo "==> [2/6] ASan+UBSan tier-1 + golden"
+  echo "==> [2/6] ASan+UBSan build (no compiler warnings) + tier-1 + golden"
   cmake --preset sanitize >/dev/null
-  cmake --build --preset sanitize -j"$jobs"
+  sanitize_log="$repo_root/build-sanitize/check-build.log"
+  cmake --build --preset sanitize -j"$jobs" --clean-first 2>&1 |
+    tee "$sanitize_log"
+  if grep -q "warning:" "$sanitize_log"; then
+    echo "check.sh: the sanitize build has compiler warnings:" >&2
+    grep "warning:" "$sanitize_log" >&2
+    exit 1
+  fi
   ctest --preset sanitize -j"$jobs"
 else
   echo "==> [2/6] sanitize: skipped"

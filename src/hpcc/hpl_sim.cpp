@@ -14,8 +14,6 @@ HplSimResult runHplSimulation(const HplSimConfig& config) {
   const int nranks = config.gridP * config.gridQ;
 
   smpi::Simulation sim(config.machine, nranks);
-  auto& world = sim.world();
-  (void)world;
 
   // Row and column communicators of the process grid (rank = row*Q + col).
   std::vector<int> rowColor(static_cast<std::size_t>(nranks));
@@ -26,11 +24,6 @@ HplSimResult runHplSimulation(const HplSimConfig& config) {
   }
   auto rowComms = sim.splitWorld(rowColor);
   auto colComms = sim.splitWorld(colColor);
-
-  const double peakRate =
-      sim.system().machine().peakFlopsPerCore() *
-      sim.system().machine().dgemmEfficiency;
-  (void)peakRate;
 
   const double nD = static_cast<double>(config.n);
   const double nb = config.nb;

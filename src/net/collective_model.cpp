@@ -174,12 +174,10 @@ sim::SimTime CollectiveModel::cost(CollKind kind, int nranks, double bytes,
   BGP_REQUIRE(nranks >= 1);
   BGP_REQUIRE(bytes >= 0);
   if (nranks == 1) return machine_->shmLatency;  // self-collective
-  const bool tree =
-      machine_->hasTreeNetwork && params_.useTreeNetwork && fullPartition;
+  const bool tree = usesTreeNetwork(kind, fullPartition);
   switch (kind) {
     case CollKind::Barrier:
-      if (machine_->hasBarrierNetwork && params_.useBarrierNetwork &&
-          fullPartition)
+      if (usesBarrierNetwork(kind, fullPartition))
         return machine_->barrierNetworkLatency +
                0.02e-6 * treeDepth(nranks);  // wire depth, nearly flat
       return torusBarrier(nranks);

@@ -55,8 +55,8 @@ class CollectiveModel {
   sim::SimTime cost(CollKind kind, int nranks, double bytes,
                     Dtype dt = Dtype::Double, bool fullPartition = true) const;
 
-  /// Which network cost() charges `kind` to — the observability plane's
-  /// per-gate classification.  Mirrors the dispatch inside cost():
+  /// Which network cost() charges `kind` to — cost() dispatches on these,
+  /// and the observability plane classifies each gate with them:
   /// bcast/reduce/allreduce ride the collective tree when the machine
   /// has one, it is enabled, and the communicator is the full partition;
   /// barrier rides the global-interrupt wires under the same conditions;

@@ -83,10 +83,6 @@ void Profiler::computeCriticalPath(const smpi::RunResult& result) {
         emit(rank, item.begin, t, PathKind::Compute, "compute");
         t = item.begin;
         continue;
-      case Span::Kind::Unresolved:
-        emit(rank, item.begin, t, PathKind::Unattributed, "unknown release");
-        t = item.begin;
-        continue;
       case Span::Kind::Gate: {
         if (item.cause >= t) {
           emit(rank, item.begin, t, PathKind::Unattributed, "collective");

@@ -136,8 +136,8 @@ struct EngineStats {
 struct RunProfile {
   int nranks = 0;
   double makespan = 0.0;
-  /// The profiler hit its op budget: breakdowns and counters remain
-  /// exact, but the critical path and what-ifs are unavailable.
+  /// A counters-only profile (ProfileOptions::maxOps == 0): breakdowns
+  /// and counters are exact, but there is no critical path or what-if.
   bool truncated = false;
   EngineStats engine;
 

@@ -41,7 +41,8 @@ const char* Profiler::collName(net::CollKind kind) {
 Profiler::Profiler(smpi::Simulation& sim, ProfileOptions options)
     : sim_(&sim),
       options_(options),
-      eagerThresh_(sim.system().eagerThreshold()) {
+      eagerThresh_(sim.system().eagerThreshold()),
+      detailed_(options.maxOps != 0) {
   const auto n = static_cast<std::size_t>(sim.nranks());
   ranks_.resize(n);
   spans_.resize(n);
@@ -70,11 +71,7 @@ std::uint32_t Profiler::kindSlot(smpi::OpState::Kind kind) {
   return kCollectiveSlot;
 }
 
-Profiler::LiveOp* Profiler::addLive(std::uint64_t id, LiveOp::Kind kind) {
-  if (id >= kOpIdLimit) {
-    truncated_ = true;
-    return nullptr;
-  }
+Profiler::LiveOp& Profiler::addLive(std::uint64_t id, LiveOp::Kind kind) {
   const std::uint64_t c = id / kChunkOps;
   if (c >= chunks_.size()) {
     // Ids arrive in creation order, so the last chunk is now full.
@@ -85,10 +82,9 @@ Profiler::LiveOp* Profiler::addLive(std::uint64_t id, LiveOp::Kind kind) {
   }
   Chunk& chunk = *chunks_[c];
   ++chunk.live;
-  opCount_ = id + 1;
   LiveOp& op = chunk.ops[id % kChunkOps];
   op.kind = kind;
-  return &op;
+  return op;
 }
 
 void Profiler::retire(std::uint64_t id, LiveOp& op) {
@@ -109,12 +105,6 @@ void Profiler::noteWaited(const smpi::OpState& op) {
   // receive it matches.
   r->waited = true;
   if (r->kind == LiveOp::Kind::Recv || r->matched) retire(op.id, *r);
-}
-
-void Profiler::checkBudget() {
-  if (truncated_) return;
-  if (opCount_ >= options_.maxOps || itemCount_ >= options_.maxOps * 4)
-    truncated_ = true;
 }
 
 void Profiler::histAdd(sim::SimTime t, double bytes) {
@@ -155,20 +145,17 @@ void Profiler::onIssue(const smpi::Comm& comm, const smpi::OpState& op,
   ++agg.count;
   agg.bytes += op.bytes;
   if (!detailed()) return;
-  LiveOp* r =
+  LiveOp& r =
       addLive(op.id, isSend ? LiveOp::Kind::Send : LiveOp::Kind::Recv);
-  if (!r) return;
   const RankState& rs = ranks_[static_cast<std::size_t>(rank)];
-  r->issue = now;
-  r->world = rank;
-  r->zn = rs.zn;
-  r->zc = rs.zc;
+  r.issue = now;
+  r.world = rank;
+  r.zn = rs.zn;
+  r.zc = rs.zc;
   if (isSend) {
-    r->bytes = op.bytes;
-    r->peer = comm.worldRank(op.peer);
+    r.bytes = op.bytes;
+    r.peer = comm.worldRank(op.peer);
   }
-  ++itemCount_;
-  checkBudget();
 }
 
 void Profiler::onComplete(const smpi::OpState& op, sim::SimTime now) {
@@ -181,7 +168,7 @@ void Profiler::onMatch(const smpi::Comm&, int, int, int, double, double,
                        const smpi::OpState& recvOp) {
   LiveOp* s = live(sendOp.id);
   LiveOp* r = live(recvOp.id);
-  if (!s || !r) return;  // one side issued after the budget hit
+  if (!s || !r) return;  // counters only
   s->matched = r->matched = true;
   s->partnerIssue = r->issue;
   r->partnerIssue = s->issue;
@@ -209,8 +196,7 @@ void Profiler::onGateArrive(const smpi::Comm& comm,
   if (!detailed()) return;
   LiveOp* g = live(op.id);
   if (!g) {  // the gate's first arrival
-    g = addLive(op.id, LiveOp::Kind::Gate);
-    if (!g) return;
+    g = &addLive(op.id, LiveOp::Kind::Gate);
     g->issue = now;
     g->nranks = comm.size();
     g->full = comm.id() == 0;
@@ -220,8 +206,6 @@ void Profiler::onGateArrive(const smpi::Comm& comm,
   const RankState& rs = ranks_[static_cast<std::size_t>(rank)];
   g->zn = std::max(g->zn, rs.zn);
   g->zc = std::max(g->zc, rs.zc);
-  ++itemCount_;
-  checkBudget();
 }
 
 void Profiler::onGateDone(const smpi::Comm& comm,
@@ -241,9 +225,8 @@ void Profiler::onGateDone(const smpi::Comm& comm,
   } else {
     ++agg.torusGates;
   }
-  if (!detailed()) return;
   LiveOp* g = live(gate.op->id);
-  if (!g) return;
+  if (!g) return;  // counters only
   g->lastArrival = gate.lastArrival;
   g->world = comm.worldRank(lastRank);
   g->duration = duration;
@@ -258,8 +241,6 @@ void Profiler::onCompute(int rank, sim::SimTime now, double seconds) {
   rs.zc += 0.0;
   if (end > now)
     spans_[static_cast<std::size_t>(rank)].emplace_back(now, end);
-  ++itemCount_;
-  checkBudget();
 }
 
 void Profiler::onBlock(int rank, sim::SimTime now) {
@@ -314,8 +295,6 @@ void Profiler::onWaitDone(int rank, const std::vector<smpi::Request>& ops,
     if (now > begin)
       spans_[static_cast<std::size_t>(rank)].push_back(
           resolveBlock(begin, now, release));
-    itemCount_ += 1 + ops.size();
-    checkBudget();
   }
 
   // Only the op a waitAny returned counts as waited.
@@ -372,14 +351,11 @@ void Profiler::foldWhatIf(RankState& rs, const std::vector<smpi::Request>& ops,
 Profiler::Span Profiler::resolveBlock(sim::SimTime begin, sim::SimTime end,
                                       const smpi::OpState* release) {
   Span s(begin, end);
+  // The op that released a block of positive width is still live and has
+  // completed; a receive has also matched.
   const LiveOp* self = release ? live(release->id) : nullptr;
-  // A recorded gate that released a wait has completed, and so has a
-  // recorded receive's match — unless recording truncated in between.
-  if (!self || self->completion < 0 ||
-      (self->kind == LiveOp::Kind::Recv && !self->matched)) {
-    s.kind = Span::Kind::Unresolved;
-    return s;
-  }
+  BGP_CHECK(self && self->completion >= 0 &&
+            (self->kind != LiveOp::Kind::Recv || self->matched));
   if (self->kind == LiveOp::Kind::Gate) {
     s.kind = Span::Kind::Gate;
     s.cause = self->lastArrival;
@@ -466,12 +442,12 @@ void Profiler::finalize(const smpi::RunResult& result) {
   const int n = sim_->nranks();
   p.nranks = n;
   p.makespan = result.makespan;
-  p.truncated = truncated_;
+  p.truncated = !detailed_;
   p.engine.events = result.events;
   p.engine.peakPending = sim_->engine().peakPending();
 
   // Per-rank breakdown.  compute/blocked come from the runtime's own
-  // RankStats counters (exact even if detailed recording truncated);
+  // RankStats counters (exact in a counters-only profile too);
   // idle absorbs the remainder so each rank's row sums to the makespan.
   p.ranks.assign(static_cast<std::size_t>(n), RankBreakdown{});
   for (int r = 0; r < n; ++r) {
@@ -587,9 +563,9 @@ void Profiler::finalize(const smpi::RunResult& result) {
   net.histBytes.assign(hist_.begin(),
                        hist_.begin() + static_cast<std::ptrdiff_t>(lastBin));
 
-  // Critical path + what-ifs need every op recorded, so a truncated
+  // Critical path + what-ifs need every op recorded, so a counters-only
   // profile has neither.
-  if (!p.truncated) {
+  if (detailed_) {
     computeCriticalPath(result);
     WhatIf& w = p.whatIf;
     w.measured = result.makespan;

@@ -51,10 +51,10 @@ class Simulation;
 namespace bgp::obs {
 
 struct ProfileOptions {
-  /// Stop detailed recording past this many ops (or 4x as many timeline
-  /// items: issues, computes, and waits counted with their ops); the
-  /// profile is marked truncated and loses the critical path and
-  /// what-ifs, but breakdowns and counters stay exact.
+  /// Whether to record detail, decided once for the whole run: 0 keeps
+  /// counters only (breakdowns, sites, collectives, links; the profile
+  /// reads `truncated`, with no critical path or what-ifs), and any other
+  /// value records every op.  Only zero versus nonzero matters.
   std::size_t maxOps = 1u << 20;
   /// Hot links reported (top-K by busy time).
   int topK = 10;
@@ -183,9 +183,6 @@ class Profiler final : public smpi::Observer,
   struct Span {
     enum class Kind : std::uint8_t {
       Compute,
-      /// Released by an op the profiler holds no record of.  Only a
-      /// truncated run records one, and it gets no critical path.
-      Unresolved,
       Gate,  // released by a gate
       Send,  // released by a send
       Recv,  // released by a matched receive
@@ -222,11 +219,8 @@ class Profiler final : public smpi::Observer,
     bool blocked = false;    // a block is open
   };
 
-  /// Op ids from here on end detailed recording like the maxOps budget.
-  static constexpr std::uint64_t kOpIdLimit = ~std::uint32_t{0};
-
-  /// Detailed recording is on until the op/item budget trips.
-  bool detailed() const { return !truncated_; }
+  /// Records every op, or counters only (ProfileOptions::maxOps == 0).
+  bool detailed() const { return detailed_; }
   /// The in-flight record of op `id`, or null (never recorded, retired).
   LiveOp* live(std::uint64_t id) {
     const std::uint64_t c = id / kChunkOps;
@@ -235,8 +229,8 @@ class Profiler final : public smpi::Observer,
     return op.kind == LiveOp::Kind::None ? nullptr : &op;
   }
   /// Starts the in-flight record of op `id` (ids arrive in creation
-  /// order), or ends detailed recording and returns null at kOpIdLimit.
-  LiveOp* addLive(std::uint64_t id, LiveOp::Kind kind);
+  /// order).
+  LiveOp& addLive(std::uint64_t id, LiveOp::Kind kind);
   /// Drops op `id`'s record; frees its chunk once the chunk is full and
   /// holds no live op.
   void retire(std::uint64_t id, LiveOp& op);
@@ -246,10 +240,9 @@ class Profiler final : public smpi::Observer,
   /// rank's what-if clocks.
   void foldWhatIf(RankState& rs, const std::vector<smpi::Request>& ops,
                   std::size_t fired);
-  /// The block span [begin, end) released by `release` (null: unknown).
+  /// The block span [begin, end) released by `release`.
   Span resolveBlock(sim::SimTime begin, sim::SimTime end,
                     const smpi::OpState* release);
-  void checkBudget();
   /// `rank`'s aggregate for its current site label and op `slot`.
   SiteAgg& siteAgg(int rank, std::uint32_t slot) {
     SiteAgg& agg =
@@ -275,12 +268,10 @@ class Profiler final : public smpi::Observer,
   smpi::Simulation* sim_;  // null after finalize()
   ProfileOptions options_;
   double eagerThresh_;
-  bool truncated_ = false;
+  const bool detailed_;
   bool finalized_ = false;
   bool whatIfOk_ = true;  // every wait's replayed completions resolved
 
-  std::uint64_t opCount_ = 0;  // one past the highest recorded op id
-  std::size_t itemCount_ = 0;  // issues + computes + waits with their ops
   std::vector<std::unique_ptr<Chunk>> chunks_;  // by id / kChunkOps
   std::vector<RankState> ranks_;
   std::vector<std::vector<Span>> spans_;  // per rank, program order

@@ -1,11 +1,18 @@
 #pragma once
 // Coroutine type for simulated processes.
 //
-// A `Task` is a fire-and-forget coroutine driven by the Engine: it starts
-// suspended, the owner schedules its handle, and every `co_await` inside it
-// hands control back to the event loop until some event resumes it.  The
-// promise records completion and captures exceptions so the simulation
-// runner can rethrow them on the host after the event loop drains.
+// A `Task` starts suspended, and every `co_await` inside it hands control
+// back to the event loop until some event resumes it.  It is used two ways:
+//  * as a rank's top-level program, whose owner schedules its handle on
+//    the Engine; the promise captures exceptions so the simulation runner
+//    can rethrow them on the host after the event loop drains;
+//  * awaited by another coroutine, to compose programs out of reusable
+//    pieces (e.g. the algorithmic collectives in smpi/coll_algorithms.hpp).
+//    It resumes its caller on completion via symmetric transfer and
+//    rethrows its exception there:
+//
+//   sim::Task doPhase(Rank& self) { co_await self.barrier(); ... }
+//   sim::Task program(Rank& self) { co_await doPhase(self); ... }
 
 #include <coroutine>
 #include <exception>
@@ -20,9 +27,9 @@ namespace bgp::sim {
 class Task {
  public:
   struct promise_type {
-    bool finished = false;
     std::exception_ptr exception;
     SmallFn onDone;  // set by the owner before first resume
+    std::coroutine_handle<> continuation;  // the awaiting caller, if any
 
     // Coroutine frames come from the thread arena: a 131k-rank world
     // spawns one frame per rank up front, and the arena turns that burst
@@ -41,11 +48,13 @@ class Task {
 
     struct FinalAwaiter {
       bool await_ready() noexcept { return false; }
-      void await_suspend(std::coroutine_handle<promise_type> h) noexcept {
+      std::coroutine_handle<> await_suspend(
+          std::coroutine_handle<promise_type> h) noexcept {
         auto& p = h.promise();
-        p.finished = true;
         if (p.onDone) p.onDone();
-        // Remain suspended at final-suspend; the owning Task destroys us.
+        // Remain suspended at final-suspend (the owning Task destroys us)
+        // and resume whoever co_awaited us.
+        return p.continuation ? p.continuation : std::noop_coroutine();
       }
       void await_resume() noexcept {}
     };
@@ -72,7 +81,7 @@ class Task {
   bool valid() const { return static_cast<bool>(handle_); }
   bool finished() const {
     BGP_REQUIRE(valid());
-    return handle_.promise().finished;
+    return handle_.done();  // suspended at its final suspend point
   }
   std::coroutine_handle<> handle() const {
     BGP_REQUIRE(valid());
@@ -90,6 +99,15 @@ class Task {
     if (handle_.promise().exception)
       std::rethrow_exception(handle_.promise().exception);
   }
+
+  // Awaiting a Task runs its body, then resumes the caller.
+  bool await_ready() const noexcept { return false; }
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> caller) {
+    BGP_REQUIRE_MSG(valid(), "awaiting an empty Task");
+    handle_.promise().continuation = caller;
+    return handle_;  // symmetric transfer into the awaited body
+  }
+  void await_resume() const { rethrowIfFailed(); }
 
  private:
   void destroy() {

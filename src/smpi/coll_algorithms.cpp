@@ -31,7 +31,7 @@ int commRankOf(Rank& self, Comm& comm) {
 
 }  // namespace
 
-sim::SubTask bcastBinomial(Rank& self, Comm& comm, double bytes, int root) {
+sim::Task bcastBinomial(Rank& self, Comm& comm, double bytes, int root) {
   const int p = comm.size();
   const int r = commRankOf(self, comm);
   BGP_REQUIRE(root >= 0 && root < p);
@@ -57,7 +57,7 @@ sim::SubTask bcastBinomial(Rank& self, Comm& comm, double bytes, int root) {
   }
 }
 
-sim::SubTask reduceBinomial(Rank& self, Comm& comm, double bytes, int root) {
+sim::Task reduceBinomial(Rank& self, Comm& comm, double bytes, int root) {
   const int p = comm.size();
   const int r = commRankOf(self, comm);
   BGP_REQUIRE(root >= 0 && root < p);
@@ -80,7 +80,7 @@ sim::SubTask reduceBinomial(Rank& self, Comm& comm, double bytes, int root) {
   }
 }
 
-sim::SubTask allreduceRecursiveDoubling(Rank& self, Comm& comm,
+sim::Task allreduceRecursiveDoubling(Rank& self, Comm& comm,
                                         double bytes) {
   const int p = comm.size();
   const int r = commRankOf(self, comm);
@@ -123,7 +123,7 @@ sim::SubTask allreduceRecursiveDoubling(Rank& self, Comm& comm,
   }
 }
 
-sim::SubTask allreduceRabenseifner(Rank& self, Comm& comm, double bytes) {
+sim::Task allreduceRabenseifner(Rank& self, Comm& comm, double bytes) {
   const int p = comm.size();
   BGP_REQUIRE_MSG(isPow2(p),
                   "Rabenseifner allreduce requires power-of-two ranks");
@@ -153,7 +153,7 @@ sim::SubTask allreduceRabenseifner(Rank& self, Comm& comm, double bytes) {
   }
 }
 
-sim::SubTask allgatherRing(Rank& self, Comm& comm, double bytesPerRank) {
+sim::Task allgatherRing(Rank& self, Comm& comm, double bytesPerRank) {
   const int p = comm.size();
   const int r = commRankOf(self, comm);
   const int next = (r + 1) % p;
@@ -164,7 +164,7 @@ sim::SubTask allgatherRing(Rank& self, Comm& comm, double bytesPerRank) {
   }
 }
 
-sim::SubTask alltoallPairwise(Rank& self, Comm& comm, double bytesPerPair) {
+sim::Task alltoallPairwise(Rank& self, Comm& comm, double bytesPerPair) {
   const int p = comm.size();
   const int r = commRankOf(self, comm);
   for (int step = 1; step < p; ++step) {
@@ -180,7 +180,7 @@ sim::SubTask alltoallPairwise(Rank& self, Comm& comm, double bytesPerPair) {
   }
 }
 
-sim::SubTask barrierDissemination(Rank& self, Comm& comm) {
+sim::Task barrierDissemination(Rank& self, Comm& comm) {
   const int p = comm.size();
   const int r = commRankOf(self, comm);
   for (int mask = 1; mask < p; mask <<= 1) {

@@ -1,11 +1,11 @@
-// Tests for the event-level algorithmic collectives and the SubTask
-// composition machinery, including cross-validation against the analytic
+// Tests for the event-level algorithmic collectives and awaited-Task
+// composition, including cross-validation against the analytic
 // CollectiveModel.
 
 #include <gtest/gtest.h>
 
 #include "arch/machines.hpp"
-#include "sim/subtask.hpp"
+#include "sim/task.hpp"
 #include "smpi/coll_algorithms.hpp"
 #include "smpi/simulation.hpp"
 
@@ -14,15 +14,15 @@ namespace {
 
 using arch::machineByName;
 
-// ---- SubTask ------------------------------------------------------------------
+// ---- awaited Task composition --------------------------------------------------
 
-sim::SubTask inner(Rank& self, int& counter) {
+sim::Task inner(Rank& self, int& counter) {
   ++counter;
   co_await self.compute(0.5);
   ++counter;
 }
 
-TEST(SubTask, ComposesAndResumesCaller) {
+TEST(TaskComposition, ComposesAndResumesCaller) {
   Simulation sim(machineByName("BG/P"), 1);
   int counter = 0;
   double after = -1;
@@ -35,12 +35,12 @@ TEST(SubTask, ComposesAndResumesCaller) {
   EXPECT_DOUBLE_EQ(after, 0.5);
 }
 
-sim::SubTask throwing(Rank& self) {
+sim::Task throwing(Rank& self) {
   co_await self.compute(0.1);
   throw std::runtime_error("subtask failure");
 }
 
-TEST(SubTask, ExceptionsPropagateToCaller) {
+TEST(TaskComposition, ExceptionsPropagateToCaller) {
   Simulation sim(machineByName("BG/P"), 1);
   EXPECT_THROW(sim.run([&](Rank& self) -> sim::Task {
                  co_await throwing(self);
@@ -48,13 +48,13 @@ TEST(SubTask, ExceptionsPropagateToCaller) {
                std::runtime_error);
 }
 
-TEST(SubTask, NestedComposition) {
+TEST(TaskComposition, NestedComposition) {
   Simulation sim(machineByName("BG/P"), 1);
   double t = -1;
-  auto level2 = [](Rank& self) -> sim::SubTask {
+  auto level2 = [](Rank& self) -> sim::Task {
     co_await self.compute(0.25);
   };
-  auto level1 = [&](Rank& self) -> sim::SubTask {
+  auto level1 = [&](Rank& self) -> sim::Task {
     co_await level2(self);
     co_await level2(self);
   };
@@ -142,7 +142,7 @@ TEST(Algo, WorksOnSubCommunicators) {
 // ---- timing properties -------------------------------------------------------------
 
 double timeAlgo(const char* machine, int p,
-                const std::function<sim::SubTask(Rank&, Comm&)>& makeAlgo) {
+                const std::function<sim::Task(Rank&, Comm&)>& makeAlgo) {
   Simulation sim(arch::machineByName(machine), p);
   double elapsed = 0;
   sim.run([&](Rank& self) -> sim::Task {
@@ -185,7 +185,7 @@ TEST(Algo, CrossValidatesAnalyticModel) {
   struct Case {
     net::CollKind kind;
     double bytes;
-    std::function<sim::SubTask(Rank&, Comm&)> make;
+    std::function<sim::Task(Rank&, Comm&)> make;
   };
   const std::vector<Case> cases = {
       {net::CollKind::Bcast, 32768,

@@ -25,6 +25,7 @@
 #include "smpi/simulation.hpp"
 #include "smpi/trace.hpp"
 #include "support/arena.hpp"
+#include "topo/process_grid.hpp"
 
 namespace bgp::obs {
 namespace {
@@ -135,8 +136,8 @@ std::string siteTable(std::size_t maxOps) {
 }
 
 // Expected tables were generated by the profiler that keyed its site
-// aggregates by (label, op) strings; the truncated run resolves late ops
-// by their kind alone.
+// aggregates by (label, op) strings; the counters-only run, which records
+// no op, resolves every wait by its kind alone.
 TEST(Obs, SiteAggregatesByLabelAndOp) {
   EXPECT_EQ(siteTable(ProfileOptions{}.maxOps),
             "residual|allreduce|32|256|0.00025683182887700513\n"
@@ -144,13 +145,59 @@ TEST(Obs, SiteAggregatesByLabelAndOp) {
             "halo-wait|send|0|0|0.00011756791443850264\n"
             "halo-exchange|recv|64|0|0\n"
             "halo-exchange|send|64|262144|0\n");
-  EXPECT_EQ(siteTable(16),
+  EXPECT_EQ(siteTable(0),
             "residual|collective|0|0|0.00025683182887700513\n"
-            "halo-wait|recv|0|0|0.00022783983957219247\n"
-            "halo-wait|send|0|0|1.9695989304812835e-05\n"
+            "halo-wait|recv|0|0|0.00024753582887700523\n"
             "halo-exchange|recv|64|0|0\n"
             "halo-exchange|send|64|262144|0\n"
             "residual|allreduce|32|256|0\n");
+}
+
+// A 32x32 VN halo, 70 reps of fig2's two-phase ISEND/IRECV exchange at 64
+// and then 1,024 words (one eager, one rendezvous): 1,146,880 p2p ops,
+// past 2^20.  The profile is whole: a complete critical path, both
+// what-ifs, and a clean self-check.
+TEST(Obs, ProfileOfARunPastTwoToTheTwentyOpsIsWhole) {
+  constexpr int kSide = 32;
+  const topo::ProcessGrid2D grid(kSide, kSide);
+  net::SystemOptions vn;
+  vn.mode = arch::ExecMode::VN;
+  Simulation sim(machineByName("BG/P"), kSide * kSide, vn);
+  sim.enableProfile();
+  const smpi::RunResult result = sim.run([&grid](Rank& self) -> sim::Task {
+    const auto north = static_cast<int>(grid.north(self.id()));
+    const auto south = static_cast<int>(grid.south(self.id()));
+    const auto west = static_cast<int>(grid.west(self.id()));
+    const auto east = static_cast<int>(grid.east(self.id()));
+    co_await self.barrier();
+    for (int rep = 0; rep < 70; ++rep) {
+      for (const int words : {64, 1024}) {
+        const double n1 = words * 4.0;
+        const double n2 = 2.0 * n1;
+        co_await self.compute(arch::Work{0.0, 2.0 * (n1 + n2), 1.0});
+        std::vector<smpi::Request> ns;
+        ns.push_back(self.irecv(south, 10));
+        ns.push_back(self.irecv(north, 11));
+        ns.push_back(self.isend(north, n1, 10));
+        ns.push_back(self.isend(south, n2, 11));
+        co_await self.waitAll(std::move(ns));
+        std::vector<smpi::Request> ew;
+        ew.push_back(self.irecv(east, 12));
+        ew.push_back(self.irecv(west, 13));
+        ew.push_back(self.isend(west, n1, 12));
+        ew.push_back(self.isend(east, n2, 13));
+        co_await self.waitAll(std::move(ew));
+      }
+    }
+  });
+  const RunProfile& p = sim.profiler()->profile();
+  EXPECT_EQ(result.events, 1865729u);
+  EXPECT_FALSE(p.truncated);
+  EXPECT_TRUE(p.critical.complete);
+  EXPECT_EQ(p.critical.segments.size(), 1034u);
+  EXPECT_EQ(p.critical.length, p.makespan);
+  EXPECT_TRUE(p.whatIf.valid);
+  EXPECT_TRUE(selfCheck(p).empty());
 }
 
 TEST(Obs, GoldenDeterminism) {

@@ -278,6 +278,7 @@ TEST(Verifier, LeakReportParity) {
   EXPECT_EQ(sim.verifier()->defects(), expected);
 }
 
+#if !BGP_ARENA_PASSTHROUGH
 /// Live arena blocks a 32x32 two-rep halo (one eager, one rendezvous
 /// exchange) leaves on this thread after run(), with or without the
 /// verifier.
@@ -311,6 +312,7 @@ std::uint64_t liveBlocksAfterHalo(bool verified) {
   EXPECT_TRUE(!verified || sim.verifier()->clean());
   return support::threadArena().liveBlocks() - before;
 }
+#endif
 
 TEST(Verifier, HoldsNoCompletedOps) {
 #if BGP_ARENA_PASSTHROUGH

@@ -16,7 +16,7 @@
 //   bgpprof --trace=trace.json          # Chrome trace with counters
 //   bgpprof --text                      # full text report per profile
 //   bgpprof --selfcheck                 # determinism + invariant gate
-//   bgpprof --topk=20 --maxops=2000000  # knob overrides
+//   bgpprof --topk=20                   # hot links reported
 
 #include <cstdio>
 #include <fstream>
@@ -107,8 +107,6 @@ int main(int argc, char** argv) {
 
   bgp::obs::ProfileOptions options;
   options.topK = static_cast<int>(cli.getDouble("topk", options.topK));
-  options.maxOps = static_cast<std::size_t>(
-      cli.getDouble("maxops", static_cast<double>(options.maxOps)));
 
   int ran = 0;
   int bad = 0;
